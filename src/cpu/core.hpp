@@ -60,6 +60,8 @@ struct RunResult {
   std::int64_t flushes = 0;
   /// Cycle counts captured at kMarker records (measurement windows).
   std::vector<std::int64_t> markers;
+
+  bool operator==(const RunResult&) const = default;
 };
 
 /// Trace-driven core + cache hierarchy timing model. One instance models

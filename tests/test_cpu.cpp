@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "cpu/backend.hpp"
 #include "cpu/cache.hpp"
 #include "cpu/core.hpp"
@@ -23,14 +27,16 @@ class FixedLatencyBackend final : public MemoryBackend {
     writes.push_back(paddr);
     return remember(now);
   }
-  std::uint64_t submit_rowclone(std::uint64_t, std::uint64_t,
+  std::uint64_t submit_rowclone(std::uint64_t src, std::uint64_t dst,
                                 std::int64_t now) override {
-    ++rowclones;
+    rowclones.emplace_back(src, dst);
     return remember(now);
   }
   std::uint64_t submit_profile(std::uint64_t, Picoseconds, std::int64_t now) override {
     return remember(now);
   }
+
+  void set_stream(std::uint32_t stream) override { streams.push_back(stream); }
 
   Completion wait(std::uint64_t id) override {
     return Completion{release_.at(id), rowclone_ok};
@@ -38,7 +44,9 @@ class FixedLatencyBackend final : public MemoryBackend {
 
   std::vector<std::uint64_t> reads;
   std::vector<std::uint64_t> writes;
-  int rowclones = 0;
+  /// (src, dst) of every RowClone, and every set_stream argument.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rowclones;
+  std::vector<std::uint32_t> streams;
   bool rowclone_ok = true;
 
  private:
@@ -370,6 +378,72 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
   EXPECT_FALSE(trace.saw_ok);
   EXPECT_EQ(r.rowclones, 1);
   EXPECT_EQ(r.rowclone_fallbacks, 1);
+}
+
+// --------------------------------------------------------------------------
+// Trace record round trips: every field the core reads reaches the backend
+// unchanged.
+// --------------------------------------------------------------------------
+
+TEST(TraceRecordTest, RowCloneAddressesReachBackendUnchanged) {
+  Core core(tiny_core(), tiny_caches());
+  FixedLatencyBackend mem(10);
+  TraceRecord rc;
+  rc.op = Op::kRowClone;
+  rc.addr = 0x0123'4567'89AB'CDC0;
+  rc.addr2 = 0xFEDC'BA98'7654'3200;
+  VectorTrace trace(std::vector<TraceRecord>{rc});
+  core.run(trace, mem);
+  ASSERT_EQ(mem.rowclones.size(), 1u);
+  EXPECT_EQ(mem.rowclones[0].first, rc.addr);
+  EXPECT_EQ(mem.rowclones[0].second, rc.addr2);
+}
+
+TEST(TraceRecordTest, StreamReachesBackendUnchanged) {
+  Core core(tiny_core(), tiny_caches());
+  FixedLatencyBackend mem(10);
+  TraceRecord ld;
+  ld.op = Op::kLoad;
+  ld.stream = 4097;
+  VectorTrace trace(std::vector<TraceRecord>{ld});
+  core.run(trace, mem);
+  // The core resets the backend to stream 0, then switches once.
+  EXPECT_EQ(mem.streams, (std::vector<std::uint32_t>{0, 4097}));
+  EXPECT_EQ(mem.reads.size(), 1u);
+}
+
+TEST(TraceRecordTest, VectorAndSpanReplaysAgree) {
+  std::vector<TraceRecord> t;
+  const Op ops[] = {Op::kLoad,        Op::kLoadDependent, Op::kStore,
+                    Op::kStoreStream, Op::kFlush,         Op::kRowClone,
+                    Op::kDrain,       Op::kMarker};
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    TraceRecord r;
+    r.op = ops[i % std::size(ops)];
+    r.gap_instructions = i % 7;
+    r.addr = (i * 4160ull) % (64 * 1024);  // Line-aligned, within 64 KiB.
+    r.addr2 = r.addr + 8192;
+    r.stream = static_cast<std::uint16_t>(i / 50);
+    t.push_back(r);
+  }
+
+  Core span_core(tiny_core(), tiny_caches());
+  FixedLatencyBackend span_mem(30);
+  SpanTrace span(t);
+  const RunResult from_span = span_core.run(span, span_mem);
+
+  Core vec_core(tiny_core(), tiny_caches());
+  FixedLatencyBackend vec_mem(30);
+  VectorTrace vec(t);
+  const RunResult from_vector = vec_core.run(vec, vec_mem);
+
+  EXPECT_EQ(from_vector, from_span);
+  EXPECT_EQ(from_vector.rowclones, 25);
+  EXPECT_EQ(from_vector.markers.size(), 25u);
+  EXPECT_EQ(vec_mem.reads, span_mem.reads);
+  EXPECT_EQ(vec_mem.writes, span_mem.writes);
+  EXPECT_EQ(vec_mem.rowclones, span_mem.rowclones);
+  EXPECT_EQ(vec_mem.streams, span_mem.streams);
 }
 
 TEST(CoreTest, MarkersSnapshotCycles) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/request_table.hpp"
 #include "smc/scheduler.hpp"
@@ -431,6 +432,23 @@ TEST(MixedTraceTest, InterleaveIsProportionalAndDeterministic) {
   EXPECT_TRUE(seen[0]);
   EXPECT_TRUE(seen[1]);
   EXPECT_TRUE(seen[2]);
+}
+
+// TraceRecord::stream is 16 bits wide: the widest id round-trips and the
+// first one past it fails loudly instead of silently truncating.
+TEST(MixedTraceTest, StreamIdMustFitTheRecord) {
+  dram::Geometry geo;
+  smc::LinearMapper mapper(geo);
+  workloads::TenantSpec spec;
+  spec.kind = workloads::TenantKind::kPointerChase;
+  spec.footprint_bytes = 16 * 1024;
+  spec.stream = 65535;
+  const auto trace = workloads::make_tenant_trace(spec, mapper);
+  ASSERT_FALSE(trace.empty());
+  for (const cpu::TraceRecord& rec : trace) EXPECT_EQ(rec.stream, 65535u);
+
+  spec.stream = 65536;
+  EXPECT_THROW(workloads::make_tenant_trace(spec, mapper), ContractViolation);
 }
 
 }  // namespace
