@@ -124,38 +124,6 @@ std::int64_t latency_sweep_bench(const PerfOptions& opts) {
 
 double now_seconds();
 
-/// The channel-parallel scaling workload: an independent stride-64 read
-/// burst over >= 8 channels with the channel-interleaved mapping, FIFOs
-/// deep enough that the submit path rarely back-pressures — so the run is
-/// dominated by long completion-drain phases, the shape the epoch
-/// scheduler shards across pump workers.
-sys::SystemConfig parallel_scaling_config(const PerfOptions& opts,
-                                          unsigned workers) {
-  sys::SystemConfig cfg = harness_config(opts);
-  cfg.geometry.channels = std::max<std::uint32_t>(opts.run.channels, 8);
-  cfg.mapping = smc::MappingKind::kChannelInterleaved;
-  cfg.tile.incoming_fifo_depth = 512;
-  cfg.pump_workers = workers;
-  return cfg;
-}
-
-std::int64_t parallel_scaling_burst(const PerfOptions& opts, unsigned workers) {
-  sys::EasyDramSystem sysm(parallel_scaling_config(opts, workers));
-  const std::int64_t n = scaled(opts, 16384);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    ids.push_back(
-        sysm.submit_read(static_cast<std::uint64_t>(i) * 64, 100 + i));
-  }
-  for (const std::uint64_t id : ids) sysm.wait(id);
-  return n;
-}
-
-std::int64_t channel_parallel_scaling_run(const PerfOptions& opts) {
-  return parallel_scaling_burst(opts, 1);
-}
-
 /// Error-pipeline host overhead: a stride-64 write-then-read burst with
 /// SEC-DED ECC and patrol scrub enabled. The write half exercises the
 /// encoder (check-bit fabrication per line), the read half the decoder and
@@ -288,43 +256,6 @@ Json qos_scheduler_overhead_detail(const PerfOptions& opts) {
   return d;
 }
 
-/// Worker-count sweep for the scaling bench. The headline timing fields
-/// cover the 1-worker run (comparable to every other bench); this payload
-/// adds the 1/2/4/8-worker sweep with speedup-vs-1 plus the host metadata
-/// (`threads`, `host_cores`) that decides whether a speedup is physically
-/// possible on the measuring machine at all.
-Json channel_parallel_scaling_detail(const PerfOptions& opts) {
-  Json d = Json::object();
-  d["threads"] = opts.run.threads;
-  d["host_cores"] =
-      static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  d["channels"] = static_cast<std::int64_t>(
-      std::max<std::uint32_t>(opts.run.channels, 8));
-  d["requests"] = scaled(opts, 16384);
-  Json points = Json::array();
-  double base_best = 0.0;
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    Json secs = Json::array();
-    double best = 0.0;
-    for (int rep = 0; rep < opts.reps; ++rep) {
-      const double t0 = now_seconds();
-      parallel_scaling_burst(opts, workers);
-      const double dt = now_seconds() - t0;
-      secs.push_back(dt);
-      if (best == 0.0 || dt < best) best = dt;
-    }
-    if (workers == 1) base_best = best;
-    Json p = Json::object();
-    p["workers"] = static_cast<std::int64_t>(workers);
-    p["host_seconds_per_rep"] = std::move(secs);
-    p["host_seconds_best"] = best;
-    p["speedup_vs_1"] = best > 0.0 ? base_best / best : 0.0;
-    points.push_back(std::move(p));
-  }
-  d["points"] = std::move(points);
-  return d;
-}
-
 struct PerfBench {
   std::string_view name;
   std::string_view summary;
@@ -348,9 +279,6 @@ constexpr PerfBench kBenches[] = {
      &fig14_bench},
     {"channel_scaling",
      "Full channel_scaling scenario at >= 8 channels", &channel_scaling_bench},
-    {"channel_parallel_scaling",
-     "8-channel interleaved burst at 1/2/4/8 channel-pump workers",
-     &channel_parallel_scaling_run, &channel_parallel_scaling_detail},
     {"ecc_scrub_overhead",
      "Write+read burst with SEC-DED ECC and patrol scrub vs default-off",
      &ecc_scrub_overhead_run, &ecc_scrub_overhead_detail},

@@ -223,8 +223,8 @@ class TcmScheduler final : public Scheduler {
 };
 
 /// Registry of the built-in scheduling policies, addressable from
-/// `SystemConfig` and the CLI's `--sched` flag. kAuto preserves the legacy
-/// `use_frfcfs` selection.
+/// `SystemConfig` and the CLI's `--sched` flag. kAuto is the default
+/// (FR-FCFS).
 enum class SchedulerKind : std::uint8_t {
   kAuto,
   kFcfs,
@@ -242,8 +242,7 @@ std::string_view to_string(SchedulerKind kind);
 /// Parses a CLI token into a SchedulerKind; nullopt for unknown tokens.
 std::optional<SchedulerKind> parse_scheduler(std::string_view token);
 
-/// Instantiates `kind` with its default parameters (kAuto yields FR-FCFS,
-/// the legacy default).
+/// Instantiates `kind` with its default parameters (kAuto yields FR-FCFS).
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind);
 
 }  // namespace easydram::smc

@@ -287,9 +287,9 @@ TEST(RowCloneTriggerTest, TriggerCyclesChargedToCore) {
 // --------------------------------------------------------------------------
 
 TEST(SchedulerEndToEndTest, FrfcfsBeatsFcfsOnRowConflicts) {
-  auto run_policy = [](bool frfcfs) {
+  auto run_policy = [](smc::SchedulerKind kind) {
     sys::SystemConfig cfg = ts_config();
-    cfg.use_frfcfs = frfcfs;
+    cfg.sched = kind;
     sys::EasyDramSystem sysm(cfg);
     workloads::TraceBuilder b;
     for (int rep = 0; rep < 500; ++rep) {
@@ -300,7 +300,8 @@ TEST(SchedulerEndToEndTest, FrfcfsBeatsFcfsOnRowConflicts) {
     cpu::VectorTrace trace(b.take());
     return sysm.run(trace).cycles;
   };
-  EXPECT_LE(run_policy(true), run_policy(false));
+  EXPECT_LE(run_policy(smc::SchedulerKind::kFrfcfs),
+            run_policy(smc::SchedulerKind::kFcfs));
 }
 
 }  // namespace

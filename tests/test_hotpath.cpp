@@ -109,7 +109,7 @@ TEST(HotPathPropertyTest, SlotTablePreservesPickOrder) {
     banks.rows.assign(4, std::nullopt);
     smc::FcfsScheduler fcfs;
     smc::FrfcfsScheduler frfcfs;
-    const bool use_frfcfs = seed % 2 == 0;
+    const bool frfcfs_policy = seed % 2 == 0;
 
     for (int step = 0; step < 400; ++step) {
       // Shuffle the open rows now and then.
@@ -131,10 +131,10 @@ TEST(HotPathPropertyTest, SlotTablePreservesPickOrder) {
       }
 
       std::size_t scanned = 0;
-      const auto pick = use_frfcfs ? frfcfs.pick({table, banks}, scanned)
+      const auto pick = frfcfs_policy ? frfcfs.pick({table, banks}, scanned)
                                    : fcfs.pick({table, banks}, scanned);
       const auto ref_pick =
-          use_frfcfs ? ref_frfcfs(ref, banks.rows) : ref_fcfs(ref);
+          frfcfs_policy ? ref_frfcfs(ref, banks.rows) : ref_fcfs(ref);
       ASSERT_EQ(pick.has_value(), ref_pick.has_value());
       ASSERT_EQ(scanned, table.size());
       if (!pick) continue;
