@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <iostream>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "ramulator/ramulator.hpp"
 #include "smc/rowclone_alloc.hpp"
 #include "smc/trcd_profiler.hpp"
@@ -24,31 +22,6 @@ void banner(const std::string& title, const std::string& paper_ref) {
 std::string fmt_size(std::uint64_t bytes) {
   if (bytes >= (1u << 20)) return std::to_string(bytes >> 20) + "M";
   return std::to_string(bytes >> 10) + "K";
-}
-
-RepStats reduce_reps(std::span<const double> samples, int warmup) {
-  if (warmup < 0) throw StatsError("reduce_reps: negative warmup");
-  if (static_cast<std::size_t>(warmup) >= samples.size()) {
-    throw StatsError("reduce_reps: no measured samples after warmup");
-  }
-  for (const double s : samples) {
-    if (!std::isfinite(s) || s < 0.0) {
-      throw StatsError("reduce_reps: non-finite or negative sample");
-    }
-  }
-  const std::span<const double> measured = samples.subspan(
-      static_cast<std::size_t>(warmup));
-
-  RepStats r;
-  r.warmup = warmup;
-  r.measured = static_cast<int>(measured.size());
-  r.best = *std::min_element(measured.begin(), measured.end());
-  r.mean = mean(measured);
-  r.median = p50(measured);
-  r.p95 = p95(measured);
-  r.stddev = stddev(measured);
-  r.cv = r.median > 0.0 ? r.stddev / r.median : 0.0;
-  return r;
 }
 
 CopyInitResult run_copyinit_easydram(const sys::SystemConfig& cfg,

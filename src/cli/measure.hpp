@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -9,30 +8,6 @@
 #include "workloads/copyinit.hpp"
 
 namespace easydram::cli {
-
-/// The v2 measurement contract's reduction of one timed repetition series
-/// (see docs/bench.md): the first `warmup` samples are discarded (cold
-/// caches, allocator growth, frequency ramp — systematic, not noise), and
-/// the summary statistics describe the `measured` remainder. The median is
-/// the headline (robust to one-sided noise spikes), `best` is kept for
-/// continuity with the v1 best-of-N files, and `cv` (stddev / median) is
-/// the stability score the CI gate thresholds.
-struct RepStats {
-  int warmup = 0;    ///< Samples discarded from the front.
-  int measured = 0;  ///< Samples the statistics describe.
-  double best = 0.0;
-  double mean = 0.0;
-  double median = 0.0;
-  double p95 = 0.0;
-  double stddev = 0.0;
-  double cv = 0.0;  ///< stddev / median; 0 when the median is 0.
-};
-
-/// Reduces `samples` (warmup series first, measured series after) under
-/// the contract above. Throws StatsError when fewer than one measured
-/// sample remains or when any sample is non-finite or negative — a bench
-/// that produced NaN must fail loudly, not average it away.
-RepStats reduce_reps(std::span<const double> samples, int warmup);
 
 /// Prints a figure/table banner matching the paper artifact being
 /// regenerated.

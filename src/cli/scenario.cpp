@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "cli/measure.hpp"
-#include "cli/perf.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -105,10 +104,6 @@ struct ParsedArgs {
   std::string out_path;
   bool list = false;
   bool help = false;
-  bool perf = false;
-  int perf_reps = 3;
-  int perf_warmup = 1;
-  double perf_scale = 1.0;
   std::string error;
 };
 
@@ -193,33 +188,6 @@ ParsedArgs parse_args(int argc, char** argv) {
           a.opts.sched = *kind;
         }
       }
-    } else if (arg == "--perf") {
-      a.perf = true;
-    } else if (arg == "--perf-reps") {
-      if (const char* v = value()) {
-        const auto n = parse_int(v);
-        if (!n || *n < 1 || *n > 1000) a.error = "bad --perf-reps value";
-        else a.perf_reps = static_cast<int>(*n);
-      }
-    } else if (arg == "--perf-warmup") {
-      if (const char* v = value()) {
-        const auto n = parse_int(v);
-        if (!n || *n < 0 || *n > 100) {
-          a.error = "bad --perf-warmup value (need 0 .. 100)";
-        } else {
-          a.perf_warmup = static_cast<int>(*n);
-        }
-      }
-    } else if (arg == "--perf-scale") {
-      if (const char* v = value()) {
-        char* end = nullptr;
-        const double s = std::strtod(v, &end);
-        if (end == v || *end != '\0' || !(s > 0.0) || s > 1000.0) {
-          a.error = "bad --perf-scale value (need 0 < scale <= 1000)";
-        } else {
-          a.perf_scale = s;
-        }
-      }
     } else {
       a.error = "unknown argument: " + std::string(arg);
     }
@@ -232,8 +200,7 @@ void print_usage(std::ostream& os, const char* prog) {
   os << "Usage: " << prog
      << " [--scenario NAME]... [--list] [--seed N] [--iters N]\n"
         "       [--threads N] [--channels N] [--ranks N]\n"
-        "       [--mapping KIND] [--sched POLICY] [--perf] [--perf-reps N]\n"
-        "       [--perf-warmup N] [--perf-scale X]\n"
+        "       [--mapping KIND] [--sched POLICY]\n"
         "       [--out results.json] [--quiet] [--help]\n\n"
         "Runs EasyDRAM experiment scenarios (paper figure/table reproducers\n"
         "and ablations) and emits machine-readable JSON summaries.\n\n"
@@ -251,21 +218,11 @@ void print_usage(std::ostream& os, const char* prog) {
         "                   | parbs | bliss | atlas | tcm (default: each\n"
         "                   scenario's validated policy; qos_* scenarios\n"
         "                   restrict their policy sweep to POLICY)\n"
-        "  --perf           run the host-performance harness instead\n"
-        "  --perf-reps N    measured repetitions per perf bench (default 3)\n"
-        "  --perf-warmup N  warmup repetitions discarded before the measured\n"
-        "                   ones (default 1; see docs/bench.md)\n"
-        "  --perf-scale X   multiplier on the micro benches' iteration\n"
-        "                   budgets (scenario benches always run whole)\n"
         "  --out PATH       write the JSON summary to PATH\n"
         "  --quiet          suppress the human-readable tables\n\n"
         "The paper scenarios always run the validated 1-channel/1-rank\n"
         "geometry; --channels/--ranks/--mapping shape the memory-system\n"
-        "scenarios (channel_scaling, rank_interleaving).\n\n"
-        "--perf times the simulator's host-side hot paths (micro read/write\n"
-        "bursts plus the throughput-sensitive scenarios) and writes the\n"
-        "BENCH_results.json perf-trajectory document to --out; with --perf,\n"
-        "--scenario filters the perf benches by name.\n";
+        "scenarios (channel_scaling, rank_interleaving).\n";
 }
 
 void print_list(std::ostream& os) {
@@ -276,8 +233,7 @@ void print_list(std::ostream& os) {
 
 }  // namespace
 
-int scenario_main(std::span<const std::string_view> default_names, int argc,
-                  char** argv) {
+int scenario_main(int argc, char** argv) {
   const char* prog = argc > 0 ? argv[0] : "easydram_cli";
   ParsedArgs a = parse_args(argc, argv);
   if (!a.error.empty()) {
@@ -293,48 +249,10 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
   }
   if (a.list) {
     print_list(std::cout);
-    if (a.perf) {
-      std::cout << "\nPerf benches (--perf):\n";
-      list_perf_benches(std::cout);
-    }
     return 0;
   }
 
-  if (a.perf) {
-    PerfOptions popts;
-    popts.run = a.opts;
-    popts.reps = a.perf_reps;
-    popts.warmup = a.perf_warmup;
-    popts.scale = a.perf_scale;
-    popts.only = a.scenarios;
-    std::vector<PerfBenchOutcome> outcomes;
-    try {
-      outcomes = run_perf_benches(popts);
-    } catch (const std::exception& e) {
-      std::cerr << prog << ": " << e.what() << "\n";
-      return 2;
-    }
-    if (a.opts.verbose) print_perf_table(std::cout, outcomes);
-    if (!a.out_path.empty()) {
-      std::ofstream out(a.out_path);
-      if (!out) {
-        std::cerr << prog << ": cannot open " << a.out_path
-                  << " for writing\n";
-        return 1;
-      }
-      out << perf_results_json(popts, outcomes).dump_string();
-      if (a.opts.verbose) {
-        std::cout << "\nWrote perf results to " << a.out_path << "\n";
-      }
-    }
-    return 0;
-  }
-
-  std::vector<std::string> names(a.scenarios);
-  if (names.empty()) {
-    names.assign(default_names.begin(), default_names.end());
-  }
-  if (names.empty()) {
+  if (a.scenarios.empty()) {
     std::cerr << prog << ": no --scenario given\n\n";
     print_usage(std::cerr, prog);
     std::cerr << "\nScenarios:\n";
@@ -343,7 +261,7 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
   }
 
   std::vector<Json> run_docs;
-  for (const std::string& name : names) {
+  for (const std::string& name : a.scenarios) {
     const Scenario* s = ScenarioRegistry::instance().find(name);
     if (s == nullptr) {
       std::cerr << prog << ": unknown scenario '" << name
@@ -373,11 +291,6 @@ int scenario_main(std::span<const std::string_view> default_names, int argc,
     }
   }
   return 0;
-}
-
-int scenario_main(std::string_view default_name, int argc, char** argv) {
-  return scenario_main(std::span<const std::string_view>(&default_name, 1),
-                       argc, argv);
 }
 
 }  // namespace easydram::cli

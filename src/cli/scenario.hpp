@@ -84,13 +84,9 @@ class ScenarioRegistry {
 /// (scenario, paper_ref, seed, iters, threads, results).
 Json run_scenario(const Scenario& s, const RunOptions& opts);
 
-/// Shared main() implementation for both the unified `easydram_cli` tool
-/// and the thin per-figure bench binaries. `default_names` are the
-/// scenarios to run when no `--scenario` flag is given (empty = require
-/// one). Flags: --scenario NAME, --list, --seed N, --iters N, --threads N,
-/// --out PATH, --quiet, --help.
-int scenario_main(std::span<const std::string_view> default_names, int argc,
-                  char** argv);
-int scenario_main(std::string_view default_name, int argc, char** argv);
+/// main() of the `easydram_cli` tool: runs every `--scenario` given (at
+/// least one is required). Flags: --scenario NAME, --list, --seed N,
+/// --iters N, --threads N, --out PATH, --quiet, --help.
+int scenario_main(int argc, char** argv);
 
 }  // namespace easydram::cli

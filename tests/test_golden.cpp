@@ -2,7 +2,8 @@
 // is digested and compared against a checked-in hash, turning the
 // repository's "bit-identical outputs" claims into an enforced invariant
 // instead of a manual diff. fig14_sim_speed is excluded by design — its
-// Ramulator column reads the host clock.
+// Ramulator column reads the host clock — and runs as the cli_fig14 CTest
+// (tools/CMakeLists.txt) instead.
 //
 // When a change *intentionally* alters scenario output, run this suite
 // with EASYDRAM_PRINT_GOLDEN=1 to print the new table, verify the diff is
@@ -183,6 +184,8 @@ TEST(GoldenHashTest, EveryScenarioIsClassified) {
 TEST(CliArgsTest, BadInputExitsWithUsageError) {
   const std::vector<std::vector<std::string>> kBadArgs = {
       {"--pump-workers", "2", "--scenario", "quickstart"},  // Removed flag.
+      {"--perf"},                                           // Removed flag.
+      {"--perf-reps", "3", "--scenario", "quickstart"},     // Removed flag.
       {"--threads", "0"},
       {"--channels", "65"},
       {"--sched", "nope"},
@@ -197,9 +200,7 @@ TEST(CliArgsTest, BadInputExitsWithUsageError) {
     argv.push_back(nullptr);
     std::string joined;
     for (const std::string& a : args) joined += " " + a;
-    EXPECT_EQ(scenario_main(std::span<const std::string_view>{},
-                            static_cast<int>(storage.size()), argv.data()),
-              2)
+    EXPECT_EQ(scenario_main(static_cast<int>(storage.size()), argv.data()), 2)
         << "easydram_cli" << joined;
   }
 }

@@ -11,6 +11,5 @@
 #include "cli/scenario.hpp"
 
 int main(int argc, char** argv) {
-  return easydram::cli::scenario_main(
-      std::span<const std::string_view>{}, argc, argv);
+  return easydram::cli::scenario_main(argc, argv);
 }

@@ -301,7 +301,7 @@ ENTROPY_PATTERNS = [
 
 # Host-timing code measures the simulator, not the simulation: its clock
 # reads never feed scenario JSON payloads.
-ENTROPY_ALLOWED = re.compile(r"(^|/)src/cli/(measure|perf)\.(hpp|cpp)$")
+ENTROPY_ALLOWED = re.compile(r"(^|/)src/cli/measure\.(hpp|cpp)$")
 
 
 def check_banned_entropy(path, stripped_lines, ctx):
@@ -310,8 +310,8 @@ def check_banned_entropy(path, stripped_lines, ctx):
     Every simulator value must derive from the scenario seed through the
     deterministic Xoshiro/SplitMix generators in common/rng.hpp; host
     clocks and system entropy make output depend on the machine and the
-    moment. Host-timing code (src/cli/measure, src/cli/perf) is exempt —
-    it measures the simulator itself.
+    moment. Host-timing code (src/cli/measure) is exempt — it measures
+    the simulator itself.
     """
     findings = []
     if ENTROPY_ALLOWED.search(path):
@@ -326,7 +326,7 @@ def check_banned_entropy(path, stripped_lines, ctx):
                         "banned-entropy",
                         f"{label} is nondeterministic; simulation code must use the "
                         "seeded Xoshiro256**/SplitMix64 generators in common/rng.hpp "
-                        "(host-timing belongs in src/cli/measure or src/cli/perf)",
+                        "(host-timing belongs in src/cli/measure)",
                     )
                 )
     return findings
