@@ -182,8 +182,8 @@ ParsedArgs parse_args(int argc, char** argv) {
         const auto kind = smc::parse_scheduler(v);
         if (!kind) {
           a.error =
-              "bad --sched value (auto | fcfs | frfcfs | parbs | bliss | "
-              "atlas | tcm)";
+              "bad --sched value (fcfs | frfcfs | parbs | bliss | atlas | "
+              "tcm)";
         } else {
           a.opts.sched = *kind;
         }
@@ -214,8 +214,8 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --ranks N        ranks per channel (memory-system scenarios)\n"
         "  --mapping KIND   address mapping: linear | line | channel |\n"
         "                   bankpart (static per-tenant bank partitions)\n"
-        "  --sched POLICY   force a scheduling policy: auto | fcfs | frfcfs\n"
-        "                   | parbs | bliss | atlas | tcm (default: each\n"
+        "  --sched POLICY   force a scheduling policy: fcfs | frfcfs | parbs\n"
+        "                   | bliss | atlas | tcm (default: each\n"
         "                   scenario's validated policy; qos_* scenarios\n"
         "                   restrict their policy sweep to POLICY)\n"
         "  --out PATH       write the JSON summary to PATH\n"

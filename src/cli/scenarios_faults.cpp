@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -34,19 +33,6 @@ using smc::mitigation::MitigationKind;
 /// between submits for the pacing machinery to owe one more REF.
 std::int64_t cycles_per_slot(const sys::SystemConfig& cfg) {
   return cfg.proc_domain.emulated_clock.ps_to_cycles_ceil(cfg.timing.tREFI);
-}
-
-/// The deterministic payload submit_write fabricates for `paddr` (same
-/// derivation as EasyDramSystem::submit_write): scenarios replicate it to
-/// aim planned stuck-at bits at cells whose stored value is known.
-std::array<std::uint8_t, 64> demand_write_payload(std::uint64_t paddr) {
-  std::array<std::uint8_t, 64> data{};
-  SplitMix64 sm(paddr ^ 0xD47A);
-  for (std::size_t w = 0; w < data.size(); w += 8) {
-    const std::uint64_t v = sm.next();
-    std::memcpy(data.data() + w, &v, 8);
-  }
-  return data;
 }
 
 /// (byte_in_line, bit) positions of word `word_idx` whose stored bit is 1:
@@ -147,7 +133,7 @@ sys::SystemConfig fault_sweep_config(std::uint64_t seed, double rate) {
     // One stuck bit -> a CE on every read (predictive retirement fodder).
     const dram::DramAddress a{kSweepBank, kSweepBaseRow + kStuckSingleLine,
                               kSweepCol};
-    const auto bits = set_bits_of_word(demand_write_payload(mapper->to_physical(a)), 1);
+    const auto bits = set_bits_of_word(sys::demand_write_payload(mapper->to_physical(a)), 1);
     EASYDRAM_EXPECTS(!bits.empty());
     cfg.faults.plan.stuck.push_back(
         {fbank, a.row, a.col, bits[0].first, bits[0].second, 0});
@@ -156,7 +142,7 @@ sys::SystemConfig fault_sweep_config(std::uint64_t seed, double rate) {
     // Two stuck bits in one 64-bit word -> a hard (detected) UE.
     const dram::DramAddress a{kSweepBank, kSweepBaseRow + kStuckDoubleLine,
                               kSweepCol};
-    const auto bits = set_bits_of_word(demand_write_payload(mapper->to_physical(a)), 2);
+    const auto bits = set_bits_of_word(sys::demand_write_payload(mapper->to_physical(a)), 2);
     EASYDRAM_EXPECTS(bits.size() >= 2);
     cfg.faults.plan.stuck.push_back(
         {fbank, a.row, a.col, bits[0].first, bits[0].second, 0});
@@ -309,7 +295,7 @@ PipelineOutcome run_ecc_vs_hammer_cell(const sys::SystemConfig& cfg,
   for (const std::uint32_t row : victims) {
     for (std::uint32_t col = 0; col < cfg.geometry.cols_per_row(); ++col) {
       const dram::DramAddress a{hp.bank, row, col, hp.channel, hp.rank};
-      const auto data = demand_write_payload(mapper.to_physical(a));
+      const auto data = sys::demand_write_payload(mapper.to_physical(a));
       sysm.device(0).backdoor_write(a, data);
       ep->note_write(fbank, row, col, data);
     }

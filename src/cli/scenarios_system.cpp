@@ -115,7 +115,6 @@ Json run_fig2(const RunOptions& opts) {
       case 0: {
         // Real system: GHz-class processor, hardware memory controller.
         sys::SystemConfig real = seeded_ts(seed);
-        real.mode = timescale::SystemMode::kReference;
         real.proc_domain = timescale::DomainConfig{Frequency{1'430'000'000},
                                                    Frequency{1'430'000'000}};
         return real;
@@ -124,7 +123,7 @@ Json run_fig2(const RunOptions& opts) {
         // FPGA + RTL MC: slow processor, hardware-speed MC (PiDRAM-like
         // platform before adding a software controller).
         sys::SystemConfig fpga_rtl = seeded_nts(seed);
-        fpga_rtl.mode = timescale::SystemMode::kReference;
+        fpga_rtl.mode = timescale::SystemMode::kTimeScaling;
         fpga_rtl.proc_domain = timescale::DomainConfig{
             Frequency::megahertz(50), Frequency::megahertz(50)};
         fpga_rtl.core = cpu::pidram_inorder_core();
@@ -236,9 +235,9 @@ Json run_fig8(const RunOptions& opts) {
         const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
 
         // Real board: A57 at 1.43 GHz with the Jetson Nano's 2 MiB L2,
-        // served by a hardware memory controller (reference mode).
+        // served by a hardware-speed memory controller (time scaling at
+        // the target clock).
         sys::SystemConfig a57 = seeded_ts(seed);
-        a57.mode = timescale::SystemMode::kReference;
         a57.proc_domain = timescale::DomainConfig{Frequency{1'430'000'000},
                                                   Frequency{1'430'000'000}};
         a57.caches = cpu::jetson_nano_caches();

@@ -81,7 +81,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
   std::size_t count_at(std::size_t bucket) const { return counts_.at(bucket); }
   std::size_t total() const { return total_; }
   std::size_t rejected() const { return rejected_; }

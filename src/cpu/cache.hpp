@@ -52,7 +52,6 @@ class Cache {
 
   std::int64_t hits() const { return hits_; }
   std::int64_t misses() const { return misses_; }
-  void reset_stats() { hits_ = misses_ = 0; }
 
  private:
   struct Way {

@@ -177,7 +177,6 @@ class DramDevice {
 
   /// Enables/disables the accounting; toggling resets all counters.
   void set_hammer_tracking(bool on);
-  bool hammer_tracking() const { return hammer_tracking_; }
   /// Max disturbance count (ACTs) any victim row reached between two
   /// refreshes of that row, over the whole run so far.
   std::int64_t max_hammer_exposure() const { return hammer_max_exposure_; }
@@ -240,7 +239,6 @@ class DramDevice {
   void scrub_writeback(const DramAddress& a, std::span<const std::uint8_t> data);
 
   void set_retention_tracking(bool on);
-  bool retention_tracking() const { return retention_tracking_; }
   /// Issued REFs whose stripe gap exceeded the stripe's minimum retention.
   std::int64_t retention_violations() const { return retention_violations_; }
   /// Worst overshoot observed: max over violations of (gap - min

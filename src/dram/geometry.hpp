@@ -51,10 +51,6 @@ struct Geometry {
   constexpr std::uint32_t banks_per_channel() const {
     return num_banks() * ranks_per_channel;
   }
-  /// Banks in the whole system.
-  constexpr std::uint32_t total_banks() const {
-    return banks_per_channel() * channels;
-  }
   constexpr std::uint32_t cols_per_row() const { return row_bytes / col_bytes; }
   constexpr std::uint32_t subarrays_per_bank() const {
     return rows_per_bank / rows_per_subarray;

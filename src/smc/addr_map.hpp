@@ -110,7 +110,6 @@ class BankPartitionMapper final : public AddressMapper {
   std::uint64_t partition_base(unsigned p) const {
     return static_cast<std::uint64_t>(p) * partition_bytes_;
   }
-  std::uint64_t partition_bytes() const { return partition_bytes_; }
 
  private:
   dram::Geometry geo_;

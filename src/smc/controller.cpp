@@ -132,8 +132,8 @@ void MemoryController::serve(EasyApi& api, TableEntry entry) {
 
 Picoseconds MemoryController::trcd_for(const dram::DramAddress& a,
                                        const EasyApi& api) const {
-  if (options_.weak_rows == nullptr) return api.timing().tRCD;
-  if (options_.weak_rows->maybe_contains(dram::row_key(a))) return api.timing().tRCD;
+  if (weak_rows_ == nullptr) return api.timing().tRCD;
+  if (weak_rows_->maybe_contains(dram::row_key(a))) return api.timing().tRCD;
   return options_.reduced_trcd;
 }
 
@@ -163,7 +163,7 @@ void MemoryController::serve_column_batch(EasyApi& api, TableEntry first) {
 
   // Open the row once, choosing the tRCD per the weak-row filter. The
   // lookup overlaps the previous batch's execution on the Bender engine.
-  if (options_.weak_rows != nullptr) {
+  if (weak_rows_ != nullptr) {
     api.charge_overlapped(api.tile().meter().costs().bloom_check);
   }
   ErrorPolicy* const ep = api.error_policy();
@@ -322,9 +322,8 @@ void MemoryController::serve_rowclone(EasyApi& api, const TableEntry& entry) {
   const bool same_bank = src.channel == dst.channel && src.rank == dst.rank &&
                          src.bank == dst.bank;
   const bool known_clonable =
-      options_.clonable != nullptr && same_bank &&
-      options_.clonable->clonable(api.geometry().system_bank(src), src.row,
-                                  dst.row);
+      clonable_ != nullptr && same_bank &&
+      clonable_->clonable(api.geometry().system_bank(src), src.row, dst.row);
   if (!known_clonable) {
     // Unverified or failing pair: tell the processor to fall back to
     // load/store copy (§7.1, "Source and Target Row Allocation").

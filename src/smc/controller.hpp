@@ -35,15 +35,9 @@ struct ControllerOptions {
   std::unique_ptr<Scheduler> scheduler;
   std::size_t request_table_capacity = 32;
 
-  /// tRCD reduction (§8): when `weak_rows` is set, rows absent from the
-  /// filter are accessed with `reduced_trcd`; rows (possibly falsely)
-  /// flagged weak use the nominal value.
-  const BloomFilter* weak_rows = nullptr;
+  /// tRCD for rows the weak-row filter (MemoryController::set_weak_rows)
+  /// does not flag.
   Picoseconds reduced_trcd{9000};
-
-  /// RowClone (§7): when set, kRowClone requests whose pair is verified
-  /// clonable run in DRAM; others get a fallback response (ok = false).
-  const RowCloneMap* clonable = nullptr;
 
   /// Row-hit drain limit: after the scheduler picks a request, up to this
   /// many further buffered requests targeting the *same DRAM row* join the
@@ -53,13 +47,11 @@ struct ControllerOptions {
   std::size_t row_batch_limit = 16;
 
   /// RowHammer mitigation policy (null = unmitigated). Non-owning: the
-  /// policy must outlive the controller. The system layer owns one
-  /// instance per channel precisely so policy state (Graphene tables,
-  /// PARA's RNG position) and accumulated stats survive controller
-  /// rebuilds (enable_rowclone, install_weak_row_filter). The controller
-  /// feeds it every demand ACT (wire the controller as the EasyApi's
-  /// ActSink) and injects the targeted neighbor refreshes it requests as
-  /// charged Bender batches right after the triggering request's batch.
+  /// policy must outlive the controller (the system layer's channel slice
+  /// owns both). The controller feeds it every demand ACT (wire the
+  /// controller as the EasyApi's ActSink) and injects the targeted
+  /// neighbor refreshes it requests as charged Bender batches right after
+  /// the triggering request's batch.
   mitigation::RowHammerMitigator* mitigator = nullptr;
 };
 
@@ -74,6 +66,19 @@ class MemoryController final : public Controller, public ActSink {
   bool idle() const override { return table_.empty(); }
 
   const RequestTable& table() const { return table_; }
+
+  /// tRCD reduction (§8): with a weak-row filter installed, rows absent
+  /// from it are opened with ControllerOptions::reduced_trcd; rows
+  /// (possibly falsely) flagged weak use the nominal value. Null (the
+  /// default) turns the reduction off. Non-owning: the filter must outlive
+  /// the controller.
+  void set_weak_rows(const BloomFilter* weak_rows) { weak_rows_ = weak_rows; }
+
+  /// RowClone (§7): with a map installed, kRowClone requests whose pair is
+  /// verified clonable run in DRAM; other pairs, and every pair while the
+  /// map is null (the default), get a fallback response (ok = false).
+  /// Non-owning: the map must outlive the controller.
+  void set_clonable(const RowCloneMap* clonable) { clonable_ = clonable; }
 
   /// Per-stream arrival/service bookkeeping (fed to stream-aware
   /// schedulers through PickContext).
@@ -119,6 +124,8 @@ class MemoryController final : public Controller, public ActSink {
   Picoseconds trcd_for(const dram::DramAddress& a, const EasyApi& api) const;
 
   ControllerOptions options_;
+  const BloomFilter* weak_rows_ = nullptr;
+  const RowCloneMap* clonable_ = nullptr;
   RequestTable table_;
   /// Per-stream arrival and attained-service counters; ATLAS/TCM/BLISS
   /// consult them via PickContext.

@@ -43,15 +43,11 @@ bool EasyApi::req_empty() {
 }
 
 tile::Request EasyApi::receive_request() {
-  // The MC cannot work on a request before it exists: snap the MC
-  // emulation point to the arrival tag first, then charge the transfer
-  // work on top. This keeps the time-scaled and reference systems
-  // cycle-aligned regardless of how far the MC point lagged while idle.
-  if (keeper_->mode() != timescale::SystemMode::kNoTimeScaling &&
-      !tile_->incoming().empty()) {
-    auto& counters = keeper_->counters();
-    const std::int64_t tag = tile_->incoming().front().issue_proc_cycle;
-    if (tag > counters.mc()) counters.advance_mc(tag - counters.mc());
+  // Snap the MC emulation point to the arrival tag first, then charge the
+  // transfer work on top: the timeline stays cycle-aligned regardless of
+  // how far the MC point lagged while idle.
+  if (!tile_->incoming().empty()) {
+    keeper_->snap_mc_to_request(tile_->incoming().front().issue_proc_cycle);
   }
   charge_service(tile_->meter().costs().receive_request);
   sync_meter();
@@ -79,12 +75,7 @@ void EasyApi::set_scheduling_state(bool critical) {
 
 void EasyApi::note_service_start(std::int64_t issue_proc_cycle) {
   charge_service(tile_->meter().costs().timescale_update);
-  if (keeper_->mode() != timescale::SystemMode::kNoTimeScaling) {
-    auto& counters = keeper_->counters();
-    if (issue_proc_cycle > counters.mc()) {
-      counters.advance_mc(issue_proc_cycle - counters.mc());
-    }
-  }
+  keeper_->snap_mc_to_request(issue_proc_cycle);
   keeper_->account_schedule_decision();
 }
 

@@ -73,8 +73,8 @@ struct EccConfig {
 };
 
 /// Per-bank PPR-style row retirement: retired rows remap to spare rows
-/// reserved at the top of the bank. Per channel, system-owned (survives
-/// controller rebuilds, like the mitigators and refresh policies).
+/// reserved at the top of the bank. One per channel, inside its
+/// ErrorPolicy.
 class RowRetirementMap {
  public:
   RowRetirementMap(const dram::Geometry& geo, std::uint32_t spare_rows_per_bank);
@@ -106,9 +106,9 @@ class RowRetirementMap {
 };
 
 /// One channel's error-handling state: the ECC check-bit side store, the
-/// retirement map, and the patrol-scrub cursor machinery. System-owned per
-/// channel; controllers and the channel's EasyApi borrow non-owning
-/// pointers (the "controllers are disposable; policies are not" rule).
+/// retirement map, and the patrol-scrub cursor machinery. Owned by the
+/// system's channel slice; the channel's EasyApi borrows a non-owning
+/// pointer, through which the controller reaches it.
 ///
 /// Check bits are written by the controller's write path and *kept* across
 /// retirement migration, so data whose stored value diverged from what was

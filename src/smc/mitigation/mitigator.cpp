@@ -14,13 +14,6 @@ std::string_view to_string(MitigationKind kind) {
   return "?";
 }
 
-std::optional<MitigationKind> parse_mitigation(std::string_view name) {
-  if (name == "none") return MitigationKind::kNone;
-  if (name == "para") return MitigationKind::kPara;
-  if (name == "graphene") return MitigationKind::kGraphene;
-  return std::nullopt;
-}
-
 std::unique_ptr<RowHammerMitigator> make_mitigator(const MitigationConfig& cfg,
                                                    const dram::Geometry& geo,
                                                    std::uint32_t channel) {

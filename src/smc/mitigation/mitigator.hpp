@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -70,7 +69,6 @@ enum class MitigationKind : std::uint8_t {
 };
 
 std::string_view to_string(MitigationKind kind);
-std::optional<MitigationKind> parse_mitigation(std::string_view name);
 
 /// Configuration shared by the policy family (sys::SystemConfig carries one).
 struct MitigationConfig {

@@ -35,10 +35,4 @@ std::string_view to_string(RefreshKind kind) {
   return "?";
 }
 
-std::optional<RefreshKind> parse_refresh(std::string_view name) {
-  if (name == "all_rows" || name == "all") return RefreshKind::kAllRows;
-  if (name == "raidr") return RefreshKind::kRaidr;
-  return std::nullopt;
-}
-
 }  // namespace easydram::smc

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -44,8 +43,7 @@ struct RaidrBinStats {
 /// Per-channel refresh-skipping decision, consulted by EasyApi once per
 /// refresh slot (one per tREFI per rank). Implementations must be
 /// deterministic pure functions of (construction state, rank, slot): the
-/// scenario runner relies on bit-identical results at any --threads value,
-/// and a slot's decision may be re-evaluated after a controller rebuild.
+/// scenario runner relies on bit-identical results at any --threads value.
 /// Instances are owned by the system layer and must outlive the EasyApi
 /// they are installed on; they are not thread-safe and belong to their
 /// channel's (single-threaded) controller loop.
@@ -97,6 +95,5 @@ enum class RefreshKind : std::uint8_t {
 };
 
 std::string_view to_string(RefreshKind kind);
-std::optional<RefreshKind> parse_refresh(std::string_view name);
 
 }  // namespace easydram::smc

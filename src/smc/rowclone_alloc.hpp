@@ -85,9 +85,6 @@ class RowCloneAllocator {
   /// pattern row fails verification falls back to CPU stores.
   std::vector<InitPlanEntry> plan_init(std::size_t n_rows);
 
-  /// Rows handed out so far (allocation cursor).
-  std::uint64_t rows_allocated() const { return cursor_; }
-
  private:
   RowRef row_at(std::uint64_t linear_index) const;
   /// Reserves and returns the subarray's pattern row (first row of the

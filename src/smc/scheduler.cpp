@@ -257,7 +257,6 @@ std::optional<std::size_t> TcmScheduler::pick(const PickContext& ctx,
 
 std::string_view to_string(SchedulerKind kind) {
   switch (kind) {
-    case SchedulerKind::kAuto: return "auto";
     case SchedulerKind::kFcfs: return "fcfs";
     case SchedulerKind::kFrfcfs: return "frfcfs";
     case SchedulerKind::kParbs: return "parbs";
@@ -265,14 +264,13 @@ std::string_view to_string(SchedulerKind kind) {
     case SchedulerKind::kAtlas: return "atlas";
     case SchedulerKind::kTcm: return "tcm";
   }
-  return "auto";
+  return "?";
 }
 
 std::optional<SchedulerKind> parse_scheduler(std::string_view token) {
   for (const SchedulerKind kind :
-       {SchedulerKind::kAuto, SchedulerKind::kFcfs, SchedulerKind::kFrfcfs,
-        SchedulerKind::kParbs, SchedulerKind::kBliss, SchedulerKind::kAtlas,
-        SchedulerKind::kTcm}) {
+       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kParbs,
+        SchedulerKind::kBliss, SchedulerKind::kAtlas, SchedulerKind::kTcm}) {
     if (token == to_string(kind)) return kind;
   }
   return std::nullopt;
@@ -281,7 +279,6 @@ std::optional<SchedulerKind> parse_scheduler(std::string_view token) {
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kFcfs: return std::make_unique<FcfsScheduler>();
-    case SchedulerKind::kAuto:
     case SchedulerKind::kFrfcfs: return std::make_unique<FrfcfsScheduler>();
     case SchedulerKind::kParbs: return std::make_unique<BatchScheduler>();
     case SchedulerKind::kBliss: return std::make_unique<BlacklistScheduler>();

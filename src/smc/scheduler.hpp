@@ -223,10 +223,8 @@ class TcmScheduler final : public Scheduler {
 };
 
 /// Registry of the built-in scheduling policies, addressable from
-/// `SystemConfig` and the CLI's `--sched` flag. kAuto is the default
-/// (FR-FCFS).
+/// `SystemConfig` and the CLI's `--sched` flag. kFrfcfs is the default.
 enum class SchedulerKind : std::uint8_t {
-  kAuto,
   kFcfs,
   kFrfcfs,
   kParbs,
@@ -235,14 +233,14 @@ enum class SchedulerKind : std::uint8_t {
   kTcm,
 };
 
-/// CLI token for `kind` ("auto", "fcfs", "frfcfs", "parbs", "bliss",
-/// "atlas", "tcm").
+/// CLI token for `kind` ("fcfs", "frfcfs", "parbs", "bliss", "atlas",
+/// "tcm").
 std::string_view to_string(SchedulerKind kind);
 
 /// Parses a CLI token into a SchedulerKind; nullopt for unknown tokens.
 std::optional<SchedulerKind> parse_scheduler(std::string_view token);
 
-/// Instantiates `kind` with its default parameters (kAuto yields FR-FCFS).
+/// Instantiates `kind` with its default parameters.
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind);
 
 }  // namespace easydram::smc

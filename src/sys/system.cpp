@@ -33,11 +33,21 @@ SystemConfig validation_time_scaling() {
 
 SystemConfig validation_reference() {
   SystemConfig cfg = validation_time_scaling();
-  cfg.mode = timescale::SystemMode::kReference;
   // The reference RTL system runs everything at the 1 GHz target clock.
   cfg.proc_domain = timescale::DomainConfig{Frequency::gigahertz(1),
                                             Frequency::gigahertz(1)};
   return cfg;
+}
+
+std::array<std::uint8_t, 64> demand_write_payload(std::uint64_t paddr) {
+  // Eight RNG draws fill the line a word at a time.
+  std::array<std::uint8_t, 64> data{};
+  SplitMix64 sm(paddr ^ 0xD47A);
+  for (std::size_t w = 0; w < data.size(); w += 8) {
+    const std::uint64_t v = sm.next();
+    std::memcpy(data.data() + w, &v, 8);
+  }
+  return data;
 }
 
 namespace {
@@ -52,6 +62,18 @@ dram::VariationConfig channel_variation(const SystemConfig& cfg,
   return v;
 }
 
+smc::ControllerOptions controller_options(
+    const SystemConfig& cfg, smc::mitigation::RowHammerMitigator* mitigator) {
+  smc::ControllerOptions options;
+  options.scheduler = cfg.scheduler_factory ? cfg.scheduler_factory()
+                                            : smc::make_scheduler(cfg.sched);
+  EASYDRAM_EXPECTS(options.scheduler != nullptr);
+  options.reduced_trcd = cfg.reduced_trcd;
+  options.row_batch_limit = cfg.row_batch_limit;
+  options.mitigator = mitigator;
+  return options;
+}
+
 }  // namespace
 
 EasyDramSystem::ChannelSlice::ChannelSlice(const SystemConfig& cfg,
@@ -61,7 +83,40 @@ EasyDramSystem::ChannelSlice::ChannelSlice(const SystemConfig& cfg,
       tile(cfg.tile),
       keeper(cfg.mode, cfg.proc_domain, cfg.tile.core_clock,
              cfg.mc_sched_latency, cfg.hardware_mc),
-      api(tile, device, mapper, keeper, channel) {}
+      error_policy(cfg.ecc.enabled
+                       ? std::make_unique<smc::ErrorPolicy>(cfg.geometry, cfg.ecc)
+                       : nullptr),
+      mitigator(smc::mitigation::make_mitigator(cfg.mitigation, cfg.geometry,
+                                                channel)),
+      controller(controller_options(cfg, mitigator.get())),
+      api(tile, device, mapper, keeper, channel) {
+  if (cfg.track_row_hammer) device.set_hammer_tracking(true);
+  if (cfg.track_retention) device.set_retention_tracking(true);
+  if (cfg.faults.enabled) {
+    // The fault model reads the ground-truth bookkeeping its triggers
+    // need, so those trackers come on with it.
+    if (cfg.faults.hammer_flip_threshold > 0) device.set_hammer_tracking(true);
+    if (cfg.faults.retention_flips) device.set_retention_tracking(true);
+    dram::FaultConfig f = cfg.faults;
+    if (channel != 0) f.seed = hash_mix(f.seed, channel);
+    device.install_fault_model(f);
+  }
+  // Retention-aware refresh: profile this channel's (independently
+  // seeded) chip once at power-on and install the binning. An offline
+  // setup pass, so it charges no timeline — matching how the weak-row
+  // and RowClone characterizations run before emulation begins.
+  if (cfg.refresh == smc::RefreshKind::kRaidr) {
+    refresh_policy = std::make_unique<smc::RaidrRefreshPolicy>(
+        smc::profile_retention_bins(device, cfg.retention_profiler,
+                                    &refresh_bin_stats));
+  }
+  api.set_error_policy(error_policy.get());
+  api.set_refresh_policy(refresh_policy.get());
+  // The controller observes its own command stream: ACTs feed the
+  // mitigation policy. Without a policy the sink stays unset (zero
+  // virtual-call cost on the batch-building path).
+  if (mitigator != nullptr) api.set_act_sink(&controller);
+}
 
 EasyDramSystem::EasyDramSystem(const SystemConfig& cfg)
     : cfg_(cfg),
@@ -70,50 +125,9 @@ EasyDramSystem::EasyDramSystem(const SystemConfig& cfg)
   EASYDRAM_EXPECTS(cfg.geometry.channels >= 1);
   EASYDRAM_EXPECTS(cfg.geometry.ranks_per_channel >= 1);
   channels_.reserve(cfg.geometry.channels);
-  mitigators_.reserve(cfg.geometry.channels);
-  refresh_policies_.reserve(cfg.geometry.channels);
-  error_policies_.reserve(cfg.geometry.channels);
   for (std::uint32_t ch = 0; ch < cfg.geometry.channels; ++ch) {
     channels_.push_back(std::make_unique<ChannelSlice>(cfg_, *mapper_, ch));
-    ChannelSlice& slice = *channels_.back();
-    if (cfg_.track_row_hammer) slice.device.set_hammer_tracking(true);
-    if (cfg_.track_retention) slice.device.set_retention_tracking(true);
-    if (cfg_.faults.enabled) {
-      // The fault model reads the ground-truth bookkeeping its triggers
-      // need, so those trackers come on with it.
-      if (cfg_.faults.hammer_flip_threshold > 0) {
-        slice.device.set_hammer_tracking(true);
-      }
-      if (cfg_.faults.retention_flips) slice.device.set_retention_tracking(true);
-      dram::FaultConfig f = cfg_.faults;
-      if (ch != 0) f.seed = hash_mix(f.seed, ch);
-      slice.device.install_fault_model(f);
-    }
-    if (cfg_.ecc.enabled) {
-      error_policies_.push_back(
-          std::make_unique<smc::ErrorPolicy>(cfg_.geometry, cfg_.ecc));
-    } else {
-      error_policies_.push_back(nullptr);
-    }
-    slice.api.set_error_policy(error_policies_.back().get());
-    mitigators_.push_back(
-        smc::mitigation::make_mitigator(cfg_.mitigation, cfg_.geometry, ch));
-    // Retention-aware refresh: profile this channel's (independently
-    // seeded) chip once at power-on and install the binning. An offline
-    // setup pass, so it charges no timeline — matching how the weak-row
-    // and RowClone characterizations run before emulation begins.
-    if (cfg_.refresh == smc::RefreshKind::kRaidr) {
-      smc::RaidrBinStats stats{};
-      refresh_policies_.push_back(std::make_unique<smc::RaidrRefreshPolicy>(
-          smc::profile_retention_bins(slice.device, cfg_.retention_profiler,
-                                      &stats)));
-      refresh_bin_stats_.push_back(stats);
-    } else {
-      refresh_policies_.push_back(nullptr);
-    }
-    slice.api.set_refresh_policy(refresh_policies_.back().get());
   }
-  rebuild_controllers();
 }
 
 smc::EasyApi& EasyDramSystem::api(std::uint32_t channel) {
@@ -127,8 +141,8 @@ dram::DramDevice& EasyDramSystem::device(std::uint32_t channel) {
 }
 
 smc::ErrorPolicy* EasyDramSystem::error_policy(std::uint32_t channel) {
-  EASYDRAM_EXPECTS(channel < error_policies_.size());
-  return error_policies_[channel].get();
+  EASYDRAM_EXPECTS(channel < channels_.size());
+  return channels_[channel]->error_policy.get();
 }
 
 const timescale::TimeKeeper& EasyDramSystem::keeper(std::uint32_t channel) const {
@@ -172,9 +186,9 @@ smc::ApiStats EasyDramSystem::smc_stats() const {
 
 smc::mitigation::MitigationStats EasyDramSystem::mitigation_stats() const {
   smc::mitigation::MitigationStats total;
-  for (const auto& m : mitigators_) {
-    if (m == nullptr) continue;
-    const smc::mitigation::MitigationStats& s = m->stats();
+  for (const auto& ch : channels_) {
+    if (ch->mitigator == nullptr) continue;
+    const smc::mitigation::MitigationStats& s = ch->mitigator->stats();
     total.acts_observed += s.acts_observed;
     total.triggers += s.triggers;
     total.neighbor_refreshes += s.neighbor_refreshes;
@@ -194,14 +208,15 @@ std::int64_t EasyDramSystem::max_hammer_exposure() const {
 smc::RaidrBinStats EasyDramSystem::refresh_bin_stats() const {
   smc::RaidrBinStats total{};
   double issue_acc = 0.0;
-  for (const smc::RaidrBinStats& s : refresh_bin_stats_) {
+  for (const auto& ch : channels_) {
+    const smc::RaidrBinStats& s = ch->refresh_bin_stats;
     total.stripes_total += s.stripes_total;
     total.stripes_x1 += s.stripes_x1;
     total.stripes_x2 += s.stripes_x2;
     total.stripes_x4 += s.stripes_x4;
     total.rows_profiled += s.rows_profiled;
-    // Per-channel vector order is fixed at construction, so this sum is
-    // reproducible at any thread count.
+    // Channel order is fixed at construction, so this sum is reproducible
+    // at any thread count.
     // NOLINT-easydram-next-line(float-accumulation-order)
     issue_acc += s.issue_fraction * static_cast<double>(s.stripes_total);
   }
@@ -235,39 +250,13 @@ Picoseconds EasyDramSystem::max_retention_overshoot() const {
   return m;
 }
 
-void EasyDramSystem::rebuild_controllers() {
-  for (std::uint32_t idx = 0; idx < channels_.size(); ++idx) {
-    ChannelSlice& ch = *channels_[idx];
-    EASYDRAM_EXPECTS(!ch.controller || ch.controller->idle());
-    smc::ControllerOptions options;
-    options.scheduler = cfg_.scheduler_factory ? cfg_.scheduler_factory()
-                                               : smc::make_scheduler(cfg_.sched);
-    EASYDRAM_EXPECTS(options.scheduler != nullptr);
-    options.reduced_trcd = cfg_.reduced_trcd;
-    options.row_batch_limit = cfg_.row_batch_limit;
-    options.weak_rows = weak_rows_ ? &*weak_rows_ : nullptr;
-    options.clonable = rowclone_enabled_ ? &clone_map_ : nullptr;
-    // The policy instance persists across rebuilds (it lives in
-    // mitigators_): a mid-run enable_rowclone/install_weak_row_filter must
-    // neither rewind PARA's RNG stream nor zero the accumulated stats.
-    options.mitigator = mitigators_[idx].get();
-    auto controller = std::make_unique<smc::MemoryController>(std::move(options));
-    // The controller observes its own command stream: ACTs feed the
-    // mitigation policy. Without a policy the sink stays unset (zero
-    // virtual-call cost on the batch-building path).
-    ch.api.set_act_sink(mitigators_[idx] != nullptr ? controller.get() : nullptr);
-    ch.controller = std::move(controller);
-  }
-}
-
 void EasyDramSystem::enable_rowclone() {
-  rowclone_enabled_ = true;
-  rebuild_controllers();
+  for (auto& ch : channels_) ch->controller.set_clonable(&clone_map_);
 }
 
 void EasyDramSystem::install_weak_row_filter(smc::BloomFilter filter) {
   weak_rows_ = std::move(filter);
-  rebuild_controllers();
+  for (auto& ch : channels_) ch->controller.set_weak_rows(&*weak_rows_);
 }
 
 smc::WeakRowFilterStats EasyDramSystem::characterize_and_install_weak_rows(
@@ -345,7 +334,7 @@ bool EasyDramSystem::step_channel(ChannelSlice& ch) {
   // spin time, so it must happen either way to keep timelines
   // bit-identical; in setup mode the step would not charge it either.)
   tile::EasyTile& tile = ch.tile;
-  if (ch.controller->idle() && tile.incoming().empty() &&
+  if (ch.controller.idle() && tile.incoming().empty() &&
       tile.outgoing().empty() && !ch.keeper.counters().critical() &&
       tile.meter().pending().count == 0) {
     if (!ch.api.setup_mode()) {
@@ -354,7 +343,7 @@ bool EasyDramSystem::step_channel(ChannelSlice& ch) {
     }
     return false;
   }
-  const bool worked = ch.controller->step(ch.api);
+  const bool worked = ch.controller.step(ch.api);
   ch.keeper.account_smc_cycles(tile.meter().take());
   if (!worked) {
     // Only future-tagged requests remain on this channel: let its
@@ -418,14 +407,9 @@ std::uint64_t EasyDramSystem::submit_write(std::uint64_t paddr, std::int64_t now
   tile::Request req;
   req.kind = tile::RequestKind::kWrite;
   req.paddr = paddr;
-  // The timing models carry no data; fabricate a deterministic payload so
-  // DRAM contents evolve benignly. Eight RNG draws fill the line a word at
-  // a time — nothing downstream ever inspects these bytes.
-  SplitMix64 sm(paddr ^ 0xD47A);
-  for (std::size_t w = 0; w < req.wdata.size(); w += 8) {
-    const std::uint64_t v = sm.next();
-    std::memcpy(req.wdata.data() + w, &v, 8);
-  }
+  // The timing models carry no data; a deterministic payload keeps DRAM
+  // contents evolving benignly.
+  req.wdata = demand_write_payload(paddr);
   return submit(std::move(req), channel_of(paddr), now);
 }
 
@@ -464,7 +448,7 @@ cpu::Completion EasyDramSystem::wait(std::uint64_t id) {
 
 bool EasyDramSystem::all_idle() const {
   for (const auto& ch : channels_) {
-    if (!ch->tile.incoming().empty() || !ch->controller->idle()) return false;
+    if (!ch->tile.incoming().empty() || !ch->controller.idle()) return false;
   }
   return true;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -57,9 +58,8 @@ struct SystemConfig {
 
   tile::TileConfig tile{};
   /// Scheduling policy by registry kind (see smc::SchedulerKind / the CLI's
-  /// --sched flag); kAuto is FR-FCFS. `scheduler_factory` (below)
-  /// overrides it.
-  smc::SchedulerKind sched = smc::SchedulerKind::kAuto;
+  /// --sched flag). `scheduler_factory` (below) overrides it.
+  smc::SchedulerKind sched = smc::SchedulerKind::kFrfcfs;
   /// Physical-to-DRAM address mapping (see smc::MappingKind): row-linear by
   /// default; line-interleaved stripes lines across banks;
   /// channel-interleaved stripes lines across channels.
@@ -74,7 +74,7 @@ struct SystemConfig {
   std::size_t row_batch_limit = 16;
 
   /// Optional custom scheduling policy. When set it overrides `sched`;
-  /// called once per controller build — i.e. once per channel (see
+  /// called once per channel, when the system is constructed (see
   /// examples/custom_scheduler.cpp).
   std::function<std::unique_ptr<smc::Scheduler>()> scheduler_factory;
 
@@ -135,6 +135,11 @@ SystemConfig pidram_no_time_scaling();
 SystemConfig validation_time_scaling();  ///< §6: 100 MHz scaled to 1 GHz.
 SystemConfig validation_reference();     ///< §6: direct 1 GHz RTL reference.
 
+/// The deterministic 64-byte payload EasyDramSystem::submit_write stores at
+/// `paddr` (the timing models carry no data). Scenarios call it to know
+/// which value a demand write left in a cell.
+std::array<std::uint8_t, 64> demand_write_payload(std::uint64_t paddr);
+
 /// The assembled EasyDRAM system (Fig. 7): processor model ⇄ memory bus ⇄
 /// per-channel EasyTiles (each with a programmable core running its own
 /// software memory controller and DRAM Bender engine) ⇄ per-channel DRAM
@@ -187,8 +192,9 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   const timescale::TimeKeeper& keeper() const { return keeper(0); }
   const timescale::TimeKeeper& keeper(std::uint32_t channel) const;
 
-  /// Enables the RowClone request path: kRowClone requests whose pair is
-  /// verified in clone_map() run in DRAM, others get fallback responses.
+  /// Enables the RowClone request path on every channel's controller:
+  /// kRowClone requests whose pair is verified in clone_map() run in DRAM,
+  /// others get fallback responses.
   void enable_rowclone();
 
   /// Installs the weak-row Bloom filter, turning on reduced-tRCD accesses
@@ -268,7 +274,9 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   }
 
  private:
-  /// One memory channel: device + tile + timeline + API + controller.
+  /// One memory channel, built once at construction: it owns every piece
+  /// of per-channel state. The policies and the controller are declared
+  /// before `api` so they outlive the api they are registered on.
   struct ChannelSlice {
     ChannelSlice(const SystemConfig& cfg, const smc::AddressMapper& mapper,
                  std::uint32_t channel);
@@ -276,8 +284,18 @@ class EasyDramSystem final : public cpu::MemoryBackend {
     dram::DramDevice device;
     tile::EasyTile tile;
     timescale::TimeKeeper keeper;
+    /// Null unless `ecc.enabled`.
+    std::unique_ptr<smc::ErrorPolicy> error_policy;
+    /// Null for kAllRows: EasyApi's null policy IS the all-rows regime, at
+    /// zero pacing cost.
+    std::unique_ptr<smc::RefreshPolicy> refresh_policy;
+    /// Bin histogram of the power-on retention profiling (zero for
+    /// kAllRows).
+    smc::RaidrBinStats refresh_bin_stats{};
+    /// Null for kNone.
+    std::unique_ptr<smc::mitigation::RowHammerMitigator> mitigator;
+    smc::MemoryController controller;
     smc::EasyApi api;
-    std::unique_ptr<smc::Controller> controller;
   };
 
   std::uint64_t submit(tile::Request req, std::uint32_t channel, std::int64_t now);
@@ -309,31 +327,14 @@ class EasyDramSystem final : public cpu::MemoryBackend {
   void record_latency(std::uint64_t id, std::uint32_t stream,
                       std::int64_t release_proc_cycle);
   void account_cpu_progress(std::int64_t now);
-  void rebuild_controllers();
   bool all_idle() const;
 
   SystemConfig cfg_;
   std::unique_ptr<smc::AddressMapper> mapper_;
   std::vector<std::unique_ptr<ChannelSlice>> channels_;
-  /// Per-channel mitigation policies (entries null for kNone). Owned here
-  /// — NOT by the controllers — so policy state and stats survive
-  /// controller rebuilds (enable_rowclone, install_weak_row_filter).
-  std::vector<std::unique_ptr<smc::mitigation::RowHammerMitigator>> mitigators_;
-  /// Per-channel refresh policies (entries null for kAllRows — EasyApi's
-  /// null policy IS the all-rows regime, at zero pacing cost). Owned here
-  /// for the same rebuild-survival reason as the mitigators; installed on
-  /// each channel's EasyApi at construction.
-  std::vector<std::unique_ptr<smc::RefreshPolicy>> refresh_policies_;
-  /// Per-channel error policies (entries null unless cfg.ecc.enabled).
-  /// Owned here — check-bit store, CE counts, and retirement maps must
-  /// survive controller rebuilds, like the mitigators.
-  std::vector<std::unique_ptr<smc::ErrorPolicy>> error_policies_;
-  /// Bin histograms recorded when construction profiled each channel
-  /// (empty for kAllRows).
-  std::vector<smc::RaidrBinStats> refresh_bin_stats_;
+  /// Shared by every channel's controller (set_clonable / set_weak_rows).
   smc::RowCloneMap clone_map_;
   std::optional<smc::BloomFilter> weak_rows_;
-  bool rowclone_enabled_ = false;
 
   std::uint64_t next_id_ = 1;
   std::int64_t last_cpu_cycle_ = 0;

@@ -17,10 +17,6 @@ enum class SystemMode : std::uint8_t {
   /// PiDRAM-style emulation: FPGA wall time is the truth; the processor
   /// experiences the SMC's software latency directly.
   kNoTimeScaling,
-  /// The §6 validation reference: a hardware (RTL) memory controller at the
-  /// target clock making the same scheduling decisions — no time-scaling
-  /// machinery, no request-visibility quantization.
-  kReference,
 };
 
 /// Owns the dual timeline of an EasyDRAM system: the FPGA wall clock and
@@ -29,7 +25,7 @@ enum class SystemMode : std::uint8_t {
 ///
 /// Wall-clock accounting feeds the simulation-speed study (Fig. 14) and is
 /// the source of truth in kNoTimeScaling mode. The emulated timeline
-/// (processor cycles) is the source of truth in kTimeScaling/kReference.
+/// (processor cycles) is the source of truth in kTimeScaling.
 class TimeKeeper {
  public:
   /// `hardware_mc` models a fixed-function RTL memory controller: request
@@ -47,7 +43,6 @@ class TimeKeeper {
     EASYDRAM_EXPECTS(mc_sched_latency.count >= 0);
   }
 
-  SystemMode mode() const { return mode_; }
   const Scaler& proc_scaler() const { return proc_scaler_; }
   Counters& counters() { return counters_; }
   const Counters& counters() const { return counters_; }
@@ -148,29 +143,32 @@ class TimeKeeper {
   /// Whether a request issued at `issue_proc_cycle` (tag) / `arrival_wall`
   /// is already visible to the SMC. Time scaling delays visibility until
   /// the MC emulation point has caught up (footnote 2 of the paper). The
-  /// reference hardware controller obeys the same rule — a controller
-  /// cannot see a request before its emulated issue time — so the two
-  /// modes make identical scheduling decisions, which is what the §6
-  /// validation demonstrates.
+  /// §6 reference system (an RTL controller at the target clock) runs this
+  /// same mode: a controller cannot see a request before its emulated
+  /// issue time, so both make identical scheduling decisions.
   bool request_visible(std::int64_t issue_proc_cycle, Picoseconds arrival_wall) const {
-    switch (mode_) {
-      case SystemMode::kTimeScaling:
-      case SystemMode::kReference:
-        return issue_proc_cycle <= counters_.mc() || !counters_.critical();
-      case SystemMode::kNoTimeScaling:
-        return arrival_wall <= wall_;
-    }
-    return true;
+    if (mode_ == SystemMode::kNoTimeScaling) return arrival_wall <= wall_;
+    return issue_proc_cycle <= counters_.mc() || !counters_.critical();
   }
 
-  /// Lets the emulated MC point advance over an idle gap so that a "future"
-  /// request becomes visible (no work exists before it).
+  /// The MC cannot work on a request before it exists: under time scaling
+  /// the MC emulation point snaps up to the request's issue tag (no-op if
+  /// it is already past it, and without time scaling, where the wall
+  /// clock is the truth).
+  void snap_mc_to_request(std::int64_t issue_proc_cycle) {
+    if (mode_ == SystemMode::kNoTimeScaling) return;
+    if (issue_proc_cycle > counters_.mc()) {
+      counters_.advance_mc(issue_proc_cycle - counters_.mc());
+    }
+  }
+
+  /// Lets the emulated timeline advance over an idle gap so that a
+  /// "future" request becomes visible (no work exists before it).
   void skip_idle_until_proc_cycle(std::int64_t cycle) {
     if (mode_ == SystemMode::kNoTimeScaling) {
-      const Picoseconds target = proc_scaler_.config().fpga_clock.cycles_to_ps(cycle);
-      if (target > wall_) advance_wall(target - wall_);
+      advance_wall_to(proc_scaler_.config().fpga_clock.cycles_to_ps(cycle));
     } else {
-      if (cycle > counters_.mc()) counters_.advance_mc(cycle - counters_.mc());
+      snap_mc_to_request(cycle);
     }
   }
 

@@ -86,8 +86,6 @@ class Layout {
     return aligned;
   }
 
-  std::uint64_t bytes_used() const { return cursor_; }
-
  private:
   std::uint64_t cursor_;
 };

@@ -189,6 +189,7 @@ TEST(CliArgsTest, BadInputExitsWithUsageError) {
       {"--threads", "0"},
       {"--channels", "65"},
       {"--sched", "nope"},
+      {"--sched", "auto", "--scenario", "quickstart"},  // Removed token.
       {"--iters"},
       {"--scenario", "nosuch"},
   };

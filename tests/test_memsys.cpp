@@ -261,9 +261,8 @@ TEST(MultiRankController, CrossRankRowClonePairFallsBack) {
   // Record the rank-0 pair as clonable under the system-wide bank key; the
   // cross-rank request below must not alias onto it.
   map.record(geo.system_bank(dram::DramAddress{0, 0, 0}), 0, 0, true);
-  smc::ControllerOptions opt;
-  opt.clonable = &map;
-  smc::MemoryController c(std::move(opt));
+  smc::MemoryController c(smc::ControllerOptions{});
+  c.set_clonable(&map);
 
   tile::Request r;
   r.id = 1;

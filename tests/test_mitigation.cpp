@@ -397,10 +397,10 @@ TEST(RowhammerScenarios, PayloadsAreDeterministicAcrossThreads) {
             run_payload("rowhammer_graphene", 3));
 }
 
-TEST(RowhammerScenarios, MitigatorStateSurvivesControllerRebuilds) {
-  // enable_rowclone()/install_weak_row_filter() rebuild every channel's
-  // controller mid-setup; the mitigation policy (owned by the system, not
-  // the controller) must keep its stats and RNG position across that.
+TEST(RowhammerScenarios, SetupCallsKeepMitigatorStatsAndFeed) {
+  // A setup call such as enable_rowclone() after traffic has run must
+  // neither zero the mitigation policy's stats nor unhook the controller
+  // that feeds it.
   sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
   cfg.mitigation.kind = MitigationKind::kPara;
   cfg.mitigation.para_probability = 1.0;
@@ -408,12 +408,12 @@ TEST(RowhammerScenarios, MitigatorStateSurvivesControllerRebuilds) {
   sysm.wait(sysm.submit_read(1000 * 8192ull, /*now=*/100));
   const std::int64_t before = sysm.mitigation_stats().acts_observed;
   EXPECT_GT(before, 0);
-  sysm.enable_rowclone();  // Rebuilds controllers.
+  sysm.enable_rowclone();
   EXPECT_EQ(sysm.mitigation_stats().acts_observed, before)
-      << "rebuild zeroed the mitigation stats";
+      << "enable_rowclone zeroed the mitigation stats";
   sysm.wait(sysm.submit_read(2000 * 8192ull, /*now=*/200'000));
   EXPECT_GT(sysm.mitigation_stats().acts_observed, before)
-      << "post-rebuild controller no longer feeds the policy";
+      << "controller no longer feeds the policy after enable_rowclone";
 }
 
 TEST(RowhammerScenarios, SystemAggregatesMitigationStatsAcrossChannels) {

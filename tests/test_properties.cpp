@@ -196,27 +196,16 @@ INSTANTIATE_TEST_SUITE_P(AllMappers, MapperInvertibility,
 // --------------------------------------------------------------------------
 
 struct ModeCase {
-  timescale::SystemMode mode;
+  sys::SystemConfig (*preset)();
   std::uint64_t seed;
 };
 
 class SystemInvariants : public ::testing::TestWithParam<ModeCase> {};
 
 TEST_P(SystemInvariants, DeterministicAndMonotonic) {
-  const auto [mode, seed] = GetParam();
-  auto make_cfg = [mode] {
-    sys::SystemConfig cfg;
-    switch (mode) {
-      case timescale::SystemMode::kTimeScaling:
-        cfg = sys::jetson_nano_time_scaling();
-        break;
-      case timescale::SystemMode::kNoTimeScaling:
-        cfg = sys::pidram_no_time_scaling();
-        break;
-      case timescale::SystemMode::kReference:
-        cfg = sys::validation_reference();
-        break;
-    }
+  const auto [preset, seed] = GetParam();
+  auto make_cfg = [preset] {
+    sys::SystemConfig cfg = preset();
     cfg.variation = strong_variation();
     return cfg;
   };
@@ -260,12 +249,12 @@ TEST_P(SystemInvariants, DeterministicAndMonotonic) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSeeds, SystemInvariants,
-    ::testing::Values(ModeCase{timescale::SystemMode::kTimeScaling, 11},
-                      ModeCase{timescale::SystemMode::kTimeScaling, 97},
-                      ModeCase{timescale::SystemMode::kNoTimeScaling, 11},
-                      ModeCase{timescale::SystemMode::kNoTimeScaling, 97},
-                      ModeCase{timescale::SystemMode::kReference, 11},
-                      ModeCase{timescale::SystemMode::kReference, 97}));
+    ::testing::Values(ModeCase{&sys::jetson_nano_time_scaling, 11},
+                      ModeCase{&sys::jetson_nano_time_scaling, 97},
+                      ModeCase{&sys::pidram_no_time_scaling, 11},
+                      ModeCase{&sys::pidram_no_time_scaling, 97},
+                      ModeCase{&sys::validation_reference, 11},
+                      ModeCase{&sys::validation_reference, 97}));
 
 TEST(SystemInvariants, ReleaseTagsNeverPrecedeIssueTags) {
   sys::SystemConfig cfg = sys::jetson_nano_time_scaling();

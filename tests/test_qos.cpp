@@ -269,13 +269,13 @@ TEST(QosSchedulerTest, TcmDeprioritizesBandwidthClusterAfterWindow) {
 TEST(SchedulerRegistryTest, TokensRoundTripAndFactoriesMatch) {
   using smc::SchedulerKind;
   for (const SchedulerKind kind :
-       {SchedulerKind::kAuto, SchedulerKind::kFcfs, SchedulerKind::kFrfcfs,
-        SchedulerKind::kParbs, SchedulerKind::kBliss, SchedulerKind::kAtlas,
-        SchedulerKind::kTcm}) {
+       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kParbs,
+        SchedulerKind::kBliss, SchedulerKind::kAtlas, SchedulerKind::kTcm}) {
     EXPECT_EQ(smc::parse_scheduler(smc::to_string(kind)), kind);
   }
   EXPECT_FALSE(smc::parse_scheduler("nope").has_value());
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kAuto)->name(), "FR-FCFS");
+  EXPECT_FALSE(smc::parse_scheduler("auto").has_value());
+  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kFrfcfs)->name(), "FR-FCFS");
   EXPECT_EQ(smc::make_scheduler(SchedulerKind::kBliss)->name(), "BLISS");
   EXPECT_EQ(smc::make_scheduler(SchedulerKind::kTcm)->name(), "TCM");
   EXPECT_EQ(smc::make_scheduler(SchedulerKind::kAtlas)->name(), "ATLAS");

@@ -483,9 +483,8 @@ TEST(ControllerTest, CriticalModeEntersAndExits) {
 TEST(ControllerTest, RowCloneUnverifiedPairFallsBack) {
   Harness h;
   RowCloneMap map;  // Empty: nothing verified.
-  ControllerOptions opt;
-  opt.clonable = &map;
-  MemoryController c(std::move(opt));
+  MemoryController c(ControllerOptions{});
+  c.set_clonable(&map);
 
   tile::Request r;
   r.id = 5;
@@ -503,9 +502,8 @@ TEST(ControllerTest, RowCloneVerifiedPairCopies) {
   const dram::DramAddress src = h.mapper.to_dram(0);
   const dram::DramAddress dst = h.mapper.to_dram(8192);
   map.record(src.bank, src.row, dst.row, true);
-  ControllerOptions opt;
-  opt.clonable = &map;
-  MemoryController c(std::move(opt));
+  MemoryController c(ControllerOptions{});
+  c.set_clonable(&map);
 
   std::array<std::uint8_t, 64> marker{};
   marker.fill(0xE1);
@@ -555,9 +553,9 @@ TEST(ControllerTest, BloomDirectedTrcdReduction) {
   const dram::DramAddress weak_addr = h.mapper.to_dram(0);
   weak.insert((static_cast<std::uint64_t>(weak_addr.bank) << 32) | weak_addr.row);
   ControllerOptions opt;
-  opt.weak_rows = &weak;
   opt.reduced_trcd = 9_ns;
   MemoryController c(std::move(opt));
+  c.set_weak_rows(&weak);
 
   // Weak row: nominal access, no tRCD violation.
   h.push_request(read_request(1, 0));

@@ -218,6 +218,22 @@ TEST(SystemTest, FifoBackpressurePumpsController) {
   EXPECT_EQ(r.stores, 40);
 }
 
+TEST(SystemTest, ControllersAreBuiltOncePerChannel) {
+  // Setup calls that switch a technique on reuse each channel's controller:
+  // the scheduler factory runs once per channel, at construction.
+  SystemConfig cfg = small_ts_config();
+  cfg.geometry.channels = 2;
+  int calls = 0;
+  cfg.scheduler_factory = [&calls] {
+    ++calls;
+    return smc::make_scheduler(smc::SchedulerKind::kFrfcfs);
+  };
+  EasyDramSystem sysm(cfg);
+  sysm.enable_rowclone();
+  sysm.install_weak_row_filter(smc::BloomFilter(1 << 10, 4));
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(CompletionRingTest, PendingTracksStreamAndIssueCycle) {
   CompletionRing ring;
   ring.note_pending(1, 3, 120);

@@ -81,8 +81,7 @@ TEST_P(KeeperModes, WallAdvancesInEveryMode) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, KeeperModes,
                          ::testing::Values(SystemMode::kTimeScaling,
-                                           SystemMode::kNoTimeScaling,
-                                           SystemMode::kReference));
+                                           SystemMode::kNoTimeScaling));
 
 TEST(TimeKeeperTest, TimeScalingChargesBatchToMc) {
   TimeKeeper k(SystemMode::kTimeScaling,
@@ -127,19 +126,6 @@ TEST(TimeKeeperTest, VisibilityRules) {
   EXPECT_FALSE(k.request_visible(1'000'000, 0_ns));
   k.counters().advance_mc(1'000'000);
   EXPECT_TRUE(k.request_visible(1'000'000, 0_ns));
-}
-
-TEST(TimeKeeperTest, ReferenceUsesSameVisibilityRuleAsTimeScaling) {
-  // A hardware controller at the target clock cannot see a request before
-  // its emulated issue time either: identical rule, identical scheduling
-  // decisions (the premise of the §6 validation).
-  TimeKeeper k(SystemMode::kReference,
-               DomainConfig{Frequency::gigahertz(1), Frequency::gigahertz(1)},
-               Frequency::megahertz(100), Cycles{24});
-  k.counters().enter_critical();
-  EXPECT_FALSE(k.request_visible(999'999'999, 0_ns));
-  k.counters().advance_mc(999'999'999);
-  EXPECT_TRUE(k.request_visible(999'999'999, 0_ns));
 }
 
 TEST(TimeKeeperTest, SkipIdleAdvancesEmulationPoint) {
