@@ -10,122 +10,53 @@ bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 }  // namespace
 
-Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
+Cache::Cache(const CacheConfig& cfg) : cfg_(cfg), ways_(cfg.ways) {
   EASYDRAM_EXPECTS(cfg.line_bytes > 0 && is_pow2(cfg.line_bytes));
   EASYDRAM_EXPECTS(cfg.ways > 0);
-  EASYDRAM_EXPECTS(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes) == 0);
-  num_sets_ = cfg.size_bytes / (static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes);
-  EASYDRAM_EXPECTS(num_sets_ > 0 && is_pow2(num_sets_));
-  // Both divisors are powers of two; shifts keep the per-access cost to a
-  // couple of ALU ops (this is the hottest function in both simulators).
+  const std::uint64_t set_bytes =
+      static_cast<std::uint64_t>(cfg.ways) * cfg.line_bytes;
+  EASYDRAM_EXPECTS(cfg.size_bytes % set_bytes == 0);
+  const std::uint64_t num_sets = cfg.size_bytes / set_bytes;
+  EASYDRAM_EXPECTS(num_sets > 0 && is_pow2(num_sets));
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.line_bytes));
-  sets_shift_ = static_cast<std::uint32_t>(
-      std::countr_zero(static_cast<std::uint64_t>(num_sets_)));
-  ways_.assign(num_sets_ * cfg.ways, Way{});
-}
-
-std::size_t Cache::set_of(std::uint64_t line) const {
-  return static_cast<std::size_t>((line >> line_shift_) & (num_sets_ - 1));
-}
-
-std::uint64_t Cache::tag_of(std::uint64_t line) const {
-  return line >> (line_shift_ + sets_shift_);
-}
-
-std::uint64_t Cache::line_of(std::size_t set, std::uint64_t tag) const {
-  return ((tag << sets_shift_) + set) << line_shift_;
-}
-
-bool Cache::access(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++lru_clock_;
-      ++hits_;
-      return true;
-    }
-  }
-  ++misses_;
-  return false;
-}
-
-bool Cache::probe(std::uint64_t line) const {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    const Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) return true;
-  }
-  return false;
+  line_mask_ = cfg.line_bytes - 1;
+  set_mask_ = num_sets - 1;
+  key_.assign(num_sets * cfg.ways, kInvalid);
+  lru_.assign(num_sets * cfg.ways, 0);
+  dirty_.assign(num_sets * cfg.ways, 0);
 }
 
 FillResult Cache::fill(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
+  EASYDRAM_EXPECTS((line & line_mask_) == 0);
+  const std::uint64_t key = line >> line_shift_;
+  const std::size_t base = set_base(key);
 
-  Way* victim = nullptr;
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      // Already present (e.g. racing fills); just refresh LRU.
-      way.lru = ++lru_clock_;
-      return FillResult{};
-    }
-    if (!way.valid) {
-      victim = &way;
-    }
+  // One branch-free pass finds both a hit and the set's last invalid way.
+  std::size_t hit = kMiss;
+  std::size_t victim = kMiss;
+  for (std::size_t i = base; i < base + ways_; ++i) {
+    hit = key_[i] == key ? i : hit;
+    victim = key_[i] == kInvalid ? i : victim;
+  }
+  if (hit != kMiss) {
+    // Already present (e.g. racing fills); just refresh LRU.
+    lru_[hit] = ++lru_clock_;
+    return FillResult{};
   }
   FillResult result;
-  if (victim == nullptr) {
-    victim = &ways_[set * cfg_.ways];
-    for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
-      Way& way = ways_[set * cfg_.ways + w];
-      if (way.lru < victim->lru) victim = &way;
+  if (victim == kMiss) {
+    victim = base;
+    for (std::size_t i = base + 1; i < base + ways_; ++i) {
+      victim = lru_[i] < lru_[victim] ? i : victim;
     }
     result.evicted = true;
-    result.evicted_dirty = victim->dirty;
-    result.evicted_line = line_of(set, victim->tag);
+    result.evicted_dirty = dirty_[victim] != 0;
+    result.evicted_line = key_[victim] << line_shift_;
   }
-  victim->valid = true;
-  victim->dirty = false;
-  victim->tag = tag;
-  victim->lru = ++lru_clock_;
+  key_[victim] = key;
+  dirty_[victim] = 0;
+  lru_[victim] = ++lru_clock_;
   return result;
-}
-
-void Cache::mark_dirty(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      way.dirty = true;
-      return;
-    }
-  }
-  EASYDRAM_EXPECTS(!"mark_dirty on a line that is not present");
-}
-
-Cache::FlushResult Cache::flush(std::uint64_t line) {
-  EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
-  const std::size_t set = set_of(line);
-  const std::uint64_t tag = tag_of(line);
-  for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[set * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      FlushResult r{true, way.dirty};
-      way.valid = false;
-      way.dirty = false;
-      return r;
-    }
-  }
-  return FlushResult{};
 }
 
 }  // namespace easydram::cpu

@@ -1,21 +1,23 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace easydram::cpu {
 
 Core::Core(const CoreConfig& cfg, const CacheHierConfig& caches)
     : cfg_(cfg), l1_(caches.l1), l2_(caches.l2) {
-  EASYDRAM_EXPECTS(cfg.issue_width > 0);
+  EASYDRAM_EXPECTS(std::has_single_bit(cfg.issue_width));
   EASYDRAM_EXPECTS(cfg.mlp > 0);
   EASYDRAM_EXPECTS(cfg.store_buffer > 0);
+  width_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg.issue_width));
 }
 
 void Core::advance_for_instructions(std::uint32_t count) {
   result_.instructions += count;
   const std::uint64_t total = count + width_remainder_;
-  cycle_ += static_cast<std::int64_t>(total / cfg_.issue_width);
-  width_remainder_ = static_cast<std::uint32_t>(total % cfg_.issue_width);
+  cycle_ += static_cast<std::int64_t>(total >> width_shift_);
+  width_remainder_ = static_cast<std::uint32_t>(total & (cfg_.issue_width - 1));
 }
 
 void Core::evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem) {
@@ -29,11 +31,10 @@ void Core::evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem) 
   }
 }
 
-bool Core::allocate_line(std::uint64_t line, MemoryBackend& mem,
-                         std::uint64_t& mem_id) {
-  bool from_memory = false;
-  if (!l2_.probe(line)) {
-    from_memory = true;
+std::uint64_t Core::allocate_line(std::uint64_t line, bool in_l2,
+                                  MemoryBackend& mem) {
+  std::uint64_t mem_id = 0;
+  if (!in_l2) {
     const FillResult l2fill = l2_.fill(line);
     if (l2fill.evicted) evict_from_l2(l2fill.evicted_line, l2fill.evicted_dirty, mem);
     mem_id = mem.submit_read(line, cycle_);
@@ -41,16 +42,12 @@ bool Core::allocate_line(std::uint64_t line, MemoryBackend& mem,
   }
   const FillResult l1fill = l1_.fill(line);
   if (l1fill.evicted && l1fill.evicted_dirty) {
-    // Dirty L1 victim folds back into the (inclusive) L2.
-    if (l2_.probe(l1fill.evicted_line)) {
-      l2_.mark_dirty(l1fill.evicted_line);
-    } else {
-      reserve_store_slot(mem);
-      store_slots_.push_back(mem.submit_write(l1fill.evicted_line, cycle_));
-      ++result_.mem_writes;
-    }
+    // Dirty L1 victim folds back into L2. The hierarchy is inclusive (every
+    // L2 eviction and flush also invalidates the L1 copy), so the victim is
+    // in L2 and mark_dirty's presence check holds.
+    l2_.mark_dirty(l1fill.evicted_line);
   }
-  return from_memory;
+  return mem_id;
 }
 
 void Core::wait_oldest_load(MemoryBackend& mem) {
@@ -109,16 +106,13 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
         }
         ++result_.l1_misses;
         if (l2_.access(line)) {
-          std::uint64_t unused = 0;
-          allocate_line(line, mem, unused);
+          allocate_line(line, /*in_l2=*/true, mem);
           if (dependent) cycle_ += cfg_.l2_latency;
           break;
         }
         ++result_.l2_misses;
         if (outstanding_loads_.size() >= cfg_.mlp) wait_oldest_load(mem);
-        std::uint64_t id = 0;
-        const bool from_mem = allocate_line(line, mem, id);
-        EASYDRAM_ENSURES(from_mem);
+        const std::uint64_t id = allocate_line(line, /*in_l2=*/false, mem);
         if (dependent) {
           const Completion c = mem.wait(id);
           cycle_ = std::max(cycle_, c.release_cycle + cfg_.fill_to_use);
@@ -145,14 +139,10 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
 
       case Op::kStore: {
         ++result_.stores;
-        if (l1_.access(line)) {
-          l1_.mark_dirty(line);
-          break;
-        }
+        if (l1_.access_dirty(line)) break;
         ++result_.l1_misses;
         if (l2_.access(line)) {
-          std::uint64_t unused = 0;
-          allocate_line(line, mem, unused);
+          allocate_line(line, /*in_l2=*/true, mem);
           l1_.mark_dirty(line);
           break;
         }
@@ -160,9 +150,7 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
         // Write-allocate: the read-for-ownership occupies a store-buffer
         // slot; the core stalls only when the buffer is full.
         reserve_store_slot(mem);
-        std::uint64_t id = 0;
-        const bool from_mem = allocate_line(line, mem, id);
-        EASYDRAM_ENSURES(from_mem);
+        const std::uint64_t id = allocate_line(line, /*in_l2=*/false, mem);
         l1_.mark_dirty(line);
         store_slots_.push_back(id);
         break;

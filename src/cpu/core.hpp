@@ -20,7 +20,7 @@ namespace easydram::cpu {
 /// dependent loads (pointer chases) expose their full latency.
 struct CoreConfig {
   Frequency emulated_clock = Frequency::gigahertz(1);
-  std::uint32_t issue_width = 2;
+  std::uint32_t issue_width = 2;  ///< A power of two (retire is a shift).
   std::uint32_t mlp = 4;
   std::uint32_t store_buffer = 16;
   std::int64_t l1_latency = 2;    ///< Dependent-load L1 hit cycles.
@@ -78,9 +78,11 @@ class Core {
  private:
   void advance_for_instructions(std::uint32_t count);
   /// Brings `line` into L1 (and L2), submitting writebacks for dirty
-  /// victims; returns true when the line had to come from main memory, and
-  /// then `mem_id` holds the backend request id.
-  bool allocate_line(std::uint64_t line, MemoryBackend& mem, std::uint64_t& mem_id);
+  /// victims. `in_l2` is the caller's L2 lookup result; when false the line
+  /// comes from main memory and the backend request id is returned
+  /// (0 otherwise).
+  std::uint64_t allocate_line(std::uint64_t line, bool in_l2,
+                              MemoryBackend& mem);
   void evict_from_l2(std::uint64_t line, bool l2_dirty, MemoryBackend& mem);
   void wait_oldest_load(MemoryBackend& mem);
   void reserve_store_slot(MemoryBackend& mem);
@@ -92,6 +94,7 @@ class Core {
 
   std::int64_t cycle_ = 0;
   std::uint32_t width_remainder_ = 0;
+  std::uint32_t width_shift_ = 0;  ///< log2(issue_width).
   std::deque<std::uint64_t> outstanding_loads_;
   std::deque<std::uint64_t> store_slots_;
   RunResult result_;

@@ -344,7 +344,10 @@ IssueResult DramDevice::issue(Command c, const DramAddress& a, Picoseconds at,
 
       const Picoseconds effective_trcd = at - b.act_time;
       if (effective_trcd < timing_.tRCD) res.violations |= kTrcd;
+      // No line's minimum reliable tRCD exceeds max_trcd (VariationModel
+      // pins the invariant), so a read at or above it skips the lookup.
       res.data_reliable =
+          effective_trcd >= variation_.config().max_trcd ||
           effective_trcd >= variation_.line_min_trcd(fbank, a.row, a.col);
       if (!res.data_reliable) {
         // The sense amplifier latched a wrong value; it is both returned and

@@ -74,8 +74,15 @@ struct VariationConfig {
 /// channel owns a separately seeded model.
 class VariationModel {
  public:
+  /// A row's value is min_trcd + pow(n, shape) * span with n in [0, 1] and
+  /// a line's only jitters below its row's, so these bounds keep every
+  /// line at or below max_trcd (DramDevice relies on that to skip the
+  /// lookup for reads at nominal timing).
   VariationModel(const Geometry& geo, const VariationConfig& cfg)
-      : geo_(geo), cfg_(cfg) {}
+      : geo_(geo), cfg_(cfg) {
+    EASYDRAM_EXPECTS(cfg.shape > 0 && cfg.min_trcd <= cfg.max_trcd);
+    EASYDRAM_EXPECTS(cfg.line_jitter.count >= 0);
+  }
 
   const VariationConfig& config() const { return cfg_; }
 

@@ -325,10 +325,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
         case cpu::Op::kStoreStream:  // The simple core has no streaming mode.
         case cpu::Op::kStore: {
           ++stats_.stores;
-          if (llc.access(line)) {
-            llc.mark_dirty(line);
-            break;
-          }
+          if (llc.access_dirty(line)) break;
           ++stats_.llc_misses;
           if (inflight >= cfg_.mshrs ||
               read_queue_.size() >= cfg_.read_queue_depth ||
@@ -429,11 +426,14 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
     // simulated timeline is bit-identical to single-stepping.
     if (!progressed && issue_retry_valid_ &&
         (stall_on_id != 0 || cycle < stall_until || resource_blocked)) {
-      const auto first_cycle_at = [this](Picoseconds x) {
-        std::int64_t c = cfg_.cpu_clock.ps_to_cycles_floor(x);
-        while (cfg_.cpu_clock.cycles_to_ps(c) < x) ++c;
-        while (c > 0 && cfg_.cpu_clock.cycles_to_ps(c - 1) >= x) --c;
-        return c;
+      // First cycle c >= 0 with cycles_to_ps(c) >= x. cycles_to_ps(c) =
+      // floor((c * 1e12 + hz/2) / hz) >= x  <=>  c * 1e12 >= x * hz - hz/2,
+      // so c = ceil((x * hz - hz/2) / 1e12): one division per skip.
+      const auto first_cycle_at = [hz](Picoseconds x) {
+        const __int128 num = static_cast<__int128>(x.count) * hz - hz / 2;
+        if (num <= 0) return std::int64_t{0};
+        return static_cast<std::int64_t>((num + 1'000'000'000'000 - 1) /
+                                         1'000'000'000'000);
       };
       std::int64_t target = first_cycle_at(issue_retry_at_);
       if (!completions_.empty()) {
@@ -442,10 +442,12 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       if (cycle < stall_until) target = std::min(target, stall_until);
       if (target > cycle) {
         cycle = target;
-        now_ps = cfg_.cpu_clock.cycles_to_ps(cycle).count;
+        // now_ps = cycles_to_ps(cycle) and its remainder from one quotient.
         const __int128 num =
             static_cast<__int128>(cycle) * 1'000'000'000'000 + hz / 2;
-        now_rem = static_cast<std::int64_t>(num % hz);
+        const __int128 q = num / hz;
+        now_ps = static_cast<std::int64_t>(q);
+        now_rem = static_cast<std::int64_t>(num - q * hz);
         // A stall_until-bounded skip can land exactly on the finish line;
         // single-stepping would break here without running another body.
         if (run_finished()) break;

@@ -102,8 +102,8 @@ TEST(CacheTest, LruEviction) {
   const FillResult f = c.fill(1024);
   EXPECT_TRUE(f.evicted);
   EXPECT_EQ(f.evicted_line, 512u);
-  EXPECT_TRUE(c.probe(0));
-  EXPECT_FALSE(c.probe(512));
+  EXPECT_TRUE(c.flush(0).was_present);
+  EXPECT_FALSE(c.flush(512).was_present);
 }
 
 TEST(CacheTest, DirtyEvictionReported) {
@@ -124,9 +124,28 @@ TEST(CacheTest, FlushReportsDirtyAndInvalidates) {
   const Cache::FlushResult f = c.flush(64);
   EXPECT_TRUE(f.was_present);
   EXPECT_TRUE(f.was_dirty);
-  EXPECT_FALSE(c.probe(64));
   const Cache::FlushResult f2 = c.flush(64);
   EXPECT_FALSE(f2.was_present);
+}
+
+TEST(CacheTest, AccessDirtyMarksHitsOnly) {
+  Cache c(CacheConfig{1024, 2, 64});
+  // A miss changes nothing but the miss counter: no allocation, no dirt.
+  EXPECT_FALSE(c.access_dirty(0));
+  EXPECT_FALSE(c.flush(0).was_present);
+  EXPECT_EQ(c.misses(), 1);
+  c.fill(0);
+  c.fill(512);
+  // A hit marks the line dirty and refreshes its LRU stamp like access().
+  EXPECT_TRUE(c.access_dirty(0));
+  EXPECT_EQ(c.hits(), 1);
+  const FillResult f = c.fill(1024);  // Evicts 512 (LRU), which is clean.
+  EXPECT_TRUE(f.evicted);
+  EXPECT_EQ(f.evicted_line, 512u);
+  EXPECT_FALSE(f.evicted_dirty);
+  const Cache::FlushResult fl = c.flush(0);
+  EXPECT_TRUE(fl.was_present);
+  EXPECT_TRUE(fl.was_dirty);
 }
 
 TEST(CacheTest, MisalignedLineRejected) {
@@ -162,7 +181,7 @@ TEST_P(CacheGeometry, WorkingSetLargerThanCacheAlwaysEvicts) {
   // And capacity is respected: at most `lines` lines present.
   std::int64_t present = 0;
   for (std::uint64_t i = 0; i < 2 * lines; ++i) {
-    if (c.probe(i * 64)) ++present;
+    if (c.flush(i * 64).was_present) ++present;
   }
   EXPECT_LE(present, static_cast<std::int64_t>(lines));
 }
@@ -201,6 +220,27 @@ TEST(CoreTest, PureComputeRunsAtIssueWidth) {
   const RunResult r = core.run(trace, mem);
   EXPECT_EQ(r.instructions, 1000);
   EXPECT_EQ(r.cycles, 500);
+}
+
+TEST(CoreTest, IssueWidthIsAPowerOfTwoAndCarriesRemainders) {
+  for (const std::uint32_t bad : {0u, 3u, 6u}) {
+    CoreConfig cfg = tiny_core();
+    cfg.issue_width = bad;
+    EXPECT_THROW(Core(cfg, tiny_caches()), ContractViolation) << bad;
+  }
+  CoreConfig cfg = tiny_core();
+  cfg.issue_width = 4;
+  Core core(cfg, tiny_caches());
+  FixedLatencyBackend mem(100);
+  // 3 then 5 instructions: 0 cycles with 3 left over, then (5 + 3) / 4.
+  std::vector<TraceRecord> t(2, TraceRecord{});
+  t[0].op = t[1].op = Op::kMarker;
+  t[0].gap_instructions = 2;
+  t[1].gap_instructions = 4;
+  VectorTrace trace(std::move(t));
+  const RunResult r = core.run(trace, mem);
+  EXPECT_EQ(r.instructions, 8);
+  EXPECT_EQ(r.cycles, 2);
 }
 
 TEST(CoreTest, DependentMissExposesFullLatency) {

@@ -5,15 +5,27 @@
 // Ramulator column reads the host clock — and runs as the cli_fig14 CTest
 // (tools/CMakeLists.txt) instead.
 //
-// When a change *intentionally* alters scenario output, run this suite
-// with EASYDRAM_PRINT_GOLDEN=1 to print the new table, verify the diff is
-// expected, and update kGolden below.
+// Each kGolden entry is one parameterized test, Golden/Digest.Matches/NAME,
+// and one CTest entry, test_golden.Golden/Digest.Matches/NAME
+// (tests/CMakeLists.txt), so `ctest -j` spreads the scenarios over the
+// cores. The `test_golden` CTest entry runs the rest of this file.
+//
+// When a change *intentionally* alters scenario output, print the new
+// table, verify the diff is expected, and update kGolden below. In one
+// process, in table order:
+//   EASYDRAM_PRINT_GOLDEN=1 build/tests/test_golden --gtest_filter='Golden/*'
+// or through CTest in parallel, collecting the per-test lines (kGolden is
+// sorted by name, so `sort` restores table order):
+//   cd build && EASYDRAM_PRINT_GOLDEN=1 ctest -j4 -V -R '^test_golden\.' |
+//     grep -o '{"[a-z0-9_]*", 0x[0-9A-F]*ull},' | sort
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/scenario.hpp"
@@ -84,25 +96,24 @@ std::uint64_t scenario_hash(const char* name) {
   return fnv1a(run_scenario(*s, opts).dump_string());
 }
 
-TEST(GoldenHashTest, DeterministicScenariosMatchCheckedInDigests) {
-  const bool print = std::getenv("EASYDRAM_PRINT_GOLDEN") != nullptr;
-  bool all_match = true;
-  for (const GoldenEntry& g : kGolden) {
-    const std::uint64_t h = scenario_hash(g.scenario);
-    if (print) {
-      printf("    {\"%s\", 0x%016llXull},\n", g.scenario,
-             static_cast<unsigned long long>(h));
-      all_match = all_match && h == g.hash;
-      continue;
-    }
-    EXPECT_EQ(h, g.hash) << g.scenario
-                         << ": scenario JSON changed. If intentional, rerun "
-                            "with EASYDRAM_PRINT_GOLDEN=1 and update kGolden.";
+class Digest : public ::testing::TestWithParam<GoldenEntry> {};
+
+TEST_P(Digest, Matches) {
+  const GoldenEntry& g = GetParam();
+  const std::uint64_t h = scenario_hash(g.scenario);
+  if (std::getenv("EASYDRAM_PRINT_GOLDEN") != nullptr) {
+    printf("    {\"%s\", 0x%016llXull},\n", g.scenario,
+           static_cast<unsigned long long>(h));
   }
-  if (print) {
-    EXPECT_TRUE(all_match) << "printed table differs from kGolden";
-  }
+  EXPECT_EQ(h, g.hash) << g.scenario
+                       << ": scenario JSON changed. If intentional, rerun "
+                          "with EASYDRAM_PRINT_GOLDEN=1 and update kGolden.";
 }
+
+INSTANTIATE_TEST_SUITE_P(Golden, Digest, ::testing::ValuesIn(kGolden),
+                         [](const ::testing::TestParamInfo<GoldenEntry>& info) {
+                           return std::string(info.param.scenario);
+                         });
 
 /// Cross-thread determinism sweep: every multi-channel deterministic
 /// scenario must emit a bit-identical `results` payload at any `--threads`
@@ -171,12 +182,28 @@ TEST(GoldenHashTest, StreamSweepScenariosThreadCountInvariant) {
   }
 }
 
-/// The registry growing a new scenario should force a conscious decision
-/// about its determinism (add it to kGolden or document why not).
-TEST(GoldenHashTest, EveryScenarioIsClassified) {
-  std::size_t classified = std::size(kGolden) + 1;  // +1: fig14_sim_speed.
-  EXPECT_EQ(ScenarioRegistry::instance().all().size(), classified)
-      << "new scenario registered: classify it in test_golden.cpp";
+/// Completeness: every registered scenario except fig14_sim_speed has
+/// exactly one kGolden entry, no entry names a scenario the registry no
+/// longer has, and the table stays sorted (the print workflow relies on
+/// it). A new scenario forces a conscious decision about its determinism.
+TEST(GoldenHashTest, EveryScenarioHasExactlyOneDigest) {
+  const ScenarioRegistry& reg = ScenarioRegistry::instance();
+  EXPECT_NE(reg.find("fig14_sim_speed"), nullptr);
+  for (const Scenario& s : reg.all()) {
+    if (s.name == "fig14_sim_speed") continue;
+    const auto entries = std::count_if(
+        std::begin(kGolden), std::end(kGolden),
+        [&](const GoldenEntry& g) { return s.name == g.scenario; });
+    EXPECT_EQ(entries, 1) << s.name << ": classify it in test_golden.cpp";
+  }
+  for (const GoldenEntry& g : kGolden) {
+    EXPECT_NE(reg.find(g.scenario), nullptr)
+        << g.scenario << ": stale kGolden entry";
+  }
+  EXPECT_TRUE(std::is_sorted(std::begin(kGolden), std::end(kGolden),
+                             [](const GoldenEntry& a, const GoldenEntry& b) {
+                               return std::string_view(a.scenario) < b.scenario;
+                             }));
 }
 
 /// Bad command lines end in a usage error (exit 2) before any scenario

@@ -2,8 +2,10 @@
 // slot-based RequestTable must preserve FCFS/FR-FCFS pick order against a
 // reference vector implementation (the pre-overhaul design), the
 // ring-buffer BoundedFifo must match std::deque semantics under randomized
-// push/pop sequences, and the CompletionRing must behave like a map from
-// dense ids to completions.
+// push/pop sequences, the CompletionRing must behave like a map from
+// dense ids to completions, and the flat-array cpu::Cache must decide every
+// hit, fill and eviction exactly like the array-of-structs cache it
+// replaced.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "cpu/cache.hpp"
 #include "smc/request_table.hpp"
 #include "smc/scheduler.hpp"
 #include "sys/completion.hpp"
@@ -227,6 +230,187 @@ TEST(HotPathPropertyTest, RingFifoContractsStillEnforced) {
   f.push(1);
   f.push(2);
   EXPECT_THROW(f.push(3), ContractViolation);
+}
+
+// --------------------------------------------------------------------------
+// Flat-array cpu::Cache vs the array-of-structs reference
+// --------------------------------------------------------------------------
+
+/// The pre-flattening cache: one {tag, valid, dirty, lru} struct per way,
+/// early-exit way scans, `%` alignment checks. Kept here as the behavioral
+/// reference the flat design must match decision for decision.
+class RefCache {
+ public:
+  explicit RefCache(const cpu::CacheConfig& cfg)
+      : cfg_(cfg),
+        num_sets_(cfg.size_bytes / (std::uint64_t{cfg.ways} * cfg.line_bytes)),
+        ways_(num_sets_ * cfg.ways) {}
+
+  bool access(std::uint64_t line) {
+    EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
+    Way* way = find(line);
+    if (way == nullptr) {
+      ++misses_;
+      return false;
+    }
+    way->lru = ++lru_clock_;
+    ++hits_;
+    return true;
+  }
+
+  /// What a store hit cost before access_dirty: access, then mark_dirty.
+  bool access_dirty(std::uint64_t line) {
+    if (!access(line)) return false;
+    mark_dirty(line);
+    return true;
+  }
+
+  /// Presence without LRU side effects; picks the lines mark_dirty may take.
+  bool contains(std::uint64_t line) {
+    EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
+    return find(line) != nullptr;
+  }
+
+  cpu::FillResult fill(std::uint64_t line) {
+    EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
+    const std::size_t set = set_of(line);
+    Way* victim = nullptr;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Way& way = ways_[set * cfg_.ways + w];
+      if (way.valid && way.tag == tag_of(line)) {
+        way.lru = ++lru_clock_;
+        return cpu::FillResult{};
+      }
+      if (!way.valid) victim = &way;
+    }
+    cpu::FillResult result;
+    if (victim == nullptr) {
+      victim = &ways_[set * cfg_.ways];
+      for (std::uint32_t w = 1; w < cfg_.ways; ++w) {
+        Way& way = ways_[set * cfg_.ways + w];
+        if (way.lru < victim->lru) victim = &way;
+      }
+      result.evicted = true;
+      result.evicted_dirty = victim->dirty;
+      result.evicted_line = (victim->tag * num_sets_ + set) * cfg_.line_bytes;
+    }
+    victim->valid = true;
+    victim->dirty = false;
+    victim->tag = tag_of(line);
+    victim->lru = ++lru_clock_;
+    return result;
+  }
+
+  void mark_dirty(std::uint64_t line) {
+    EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
+    Way* way = find(line);
+    EASYDRAM_EXPECTS(way != nullptr);
+    way->dirty = true;
+  }
+
+  cpu::Cache::FlushResult flush(std::uint64_t line) {
+    EASYDRAM_EXPECTS(line % cfg_.line_bytes == 0);
+    Way* way = find(line);
+    if (way == nullptr) return cpu::Cache::FlushResult{};
+    const cpu::Cache::FlushResult r{true, way->dirty};
+    way->valid = false;
+    way->dirty = false;
+    return r;
+  }
+
+  std::int64_t hits() const { return hits_; }
+  std::int64_t misses() const { return misses_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru = 0;
+  };
+
+  std::size_t set_of(std::uint64_t line) const {
+    return static_cast<std::size_t>((line / cfg_.line_bytes) % num_sets_);
+  }
+  std::uint64_t tag_of(std::uint64_t line) const {
+    return line / cfg_.line_bytes / num_sets_;
+  }
+  Way* find(std::uint64_t line) {
+    const std::size_t set = set_of(line);
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Way& way = ways_[set * cfg_.ways + w];
+      if (way.valid && way.tag == tag_of(line)) return &way;
+    }
+    return nullptr;
+  }
+
+  cpu::CacheConfig cfg_;
+  std::uint64_t num_sets_;
+  std::vector<Way> ways_;
+  std::uint64_t lru_clock_ = 0;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
+};
+
+/// Drives cpu::Cache and RefCache through identical seeded streams of every
+/// operation (access, access_dirty, fill, mark_dirty, flush) at 1, 2, 8 and
+/// 16 ways. Lines come from a universe three times
+/// the cache's capacity spread over few sets, so sets fill, evict and
+/// refill constantly; mark_dirty is only issued on present lines (its
+/// precondition). Every return value, FillResult and counter must agree
+/// after every operation.
+TEST(HotPathPropertyTest, FlatCacheMatchesArrayOfStructsReference) {
+  for (const std::uint32_t ways : {1u, 2u, 8u, 16u}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      const cpu::CacheConfig cfg{4 * std::uint64_t{ways} * 64, ways, 64};
+      cpu::Cache cache(cfg);
+      RefCache ref(cfg);
+      SplitMix64 rng(seed * 0x9E37 + ways);
+      const std::uint64_t universe = 3 * 4 * std::uint64_t{ways};
+      for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t line = (rng.next() % universe) * 64;
+        const std::uint64_t op = rng.next() % 5;
+        SCOPED_TRACE(::testing::Message() << "ways " << ways << " seed " << seed
+                                          << " step " << step << " op " << op
+                                          << " line " << line);
+        switch (op) {
+          case 0:
+            ASSERT_EQ(cache.access(line), ref.access(line));
+            break;
+          case 1:
+            ASSERT_EQ(cache.access_dirty(line), ref.access_dirty(line));
+            break;
+          case 2: {
+            const cpu::FillResult a = cache.fill(line);
+            const cpu::FillResult b = ref.fill(line);
+            ASSERT_EQ(a.evicted, b.evicted);
+            ASSERT_EQ(a.evicted_dirty, b.evicted_dirty);
+            ASSERT_EQ(a.evicted_line, b.evicted_line);
+            break;
+          }
+          case 3:
+            if (ref.contains(line)) {
+              cache.mark_dirty(line);
+              ref.mark_dirty(line);
+            } else {
+              ASSERT_THROW(cache.mark_dirty(line), ContractViolation);
+            }
+            break;
+          default: {
+            const cpu::Cache::FlushResult a = cache.flush(line);
+            const cpu::Cache::FlushResult b = ref.flush(line);
+            ASSERT_EQ(a.was_present, b.was_present);
+            ASSERT_EQ(a.was_dirty, b.was_dirty);
+            break;
+          }
+        }
+        ASSERT_EQ(cache.hits(), ref.hits());
+        ASSERT_EQ(cache.misses(), ref.misses());
+      }
+      ASSERT_THROW(cache.access(32), ContractViolation);
+      ASSERT_THROW(cache.fill(32), ContractViolation);
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ramulator/ramulator.hpp"
 #include "workloads/builder.hpp"
 
@@ -153,6 +155,135 @@ TEST(RamulatorTest, WritebacksHappenUnderCapacityPressure) {
   cpu::VectorTrace t(b.take());
   const RamStats s = sim.run(t);
   EXPECT_GT(s.mem_writes, 100);
+}
+
+// --------------------------------------------------------------------------
+// Pinned outputs. Every RamStats field of three synthetic runs, recorded at
+// commit e07753a (before the flat cache and the one-division fast-forward)
+// by running these exact traces. The golden scenarios cover Ramulator only
+// through digests of whole documents; these pin it directly, so a host-speed
+// change to the LLC lookups, the retire loop or the fast-forward that moves
+// any count or cycle fails here with the field named.
+// --------------------------------------------------------------------------
+
+void expect_stats(const RamStats& s, const RamStats& want) {
+  EXPECT_EQ(s.cycles, want.cycles);
+  EXPECT_EQ(s.instructions, want.instructions);
+  EXPECT_EQ(s.loads, want.loads);
+  EXPECT_EQ(s.stores, want.stores);
+  EXPECT_EQ(s.llc_misses, want.llc_misses);
+  EXPECT_EQ(s.mem_reads, want.mem_reads);
+  EXPECT_EQ(s.mem_writes, want.mem_writes);
+  EXPECT_EQ(s.row_hits, want.row_hits);
+  EXPECT_EQ(s.row_misses, want.row_misses);
+  EXPECT_EQ(s.rowclones, want.rowclones);
+  EXPECT_EQ(s.markers, want.markers);
+}
+
+cpu::TraceRecord marker() {
+  cpu::TraceRecord m;
+  m.op = cpu::Op::kMarker;
+  return m;
+}
+
+TEST(RamulatorTest, PinnedLoadsUnderCapacityPressure) {
+  // Two passes streaming 64 KiB through the 16 KiB LLC, interleaved with
+  // a hot 4 KiB block (one line per set) that keeps hitting, every other
+  // hot access dependent, plus a strided stream that conflicts in the
+  // banks and compute gaps.
+  workloads::TraceBuilder b;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint64_t i = 0; i < 1024; ++i) {
+      b.load(i * 64);
+      if (i % 2 == 0) {
+        b.load_dependent((1 << 20) + (i % 64) * 64, 3);
+      } else {
+        b.load((1 << 20) + (i % 64) * 64);
+      }
+      if (i % 16 == 0) b.load((i * 4099 % 1024) * 8192 + 8 * 1024 * 1024);
+      if (i % 64 == 0) b.compute(97);
+    }
+  }
+  RamulatorSim sim(small_cfg());
+  cpu::VectorTrace t(b.take());
+  const RamStats want{
+      .cycles = 78327,
+      .instructions = 16800,
+      .loads = 4224,
+      .stores = 0,
+      .llc_misses = 2271,
+      .mem_reads = 2271,
+      .mem_writes = 0,
+      .row_hits = 2271,
+      .row_misses = 321,
+      .rowclones = 0,
+      .markers = {}};
+  expect_stats(sim.run(t), want);
+}
+
+TEST(RamulatorTest, PinnedStoresFlushesAndDrain) {
+  // Stores over 48 KiB (dirty evictions), store hits on a hot 2 KiB
+  // block, flushes of dirty and clean lines, a drain, then loads back.
+  workloads::TraceBuilder b;
+  for (std::uint64_t i = 0; i < 768; ++i) {
+    b.store(i * 64);
+    if (i % 8 == 0) b.store((i % 32) * 64);
+  }
+  for (std::uint64_t i = 0; i < 768; i += 3) b.flush(i * 64);
+  b.drain();
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    b.load(i * 128, 5);
+    if (i % 5 == 0) b.store(i * 128 + 64);
+  }
+  b.drain();
+  RamulatorSim sim(small_cfg());
+  cpu::VectorTrace t(b.take());
+  const RamStats want{
+      .cycles = 37096,
+      .instructions = 4798,
+      .loads = 256,
+      .stores = 916,
+      .llc_misses = 1074,
+      .mem_reads = 1074,
+      .mem_writes = 696,
+      .row_hits = 1770,
+      .row_misses = 32,
+      .rowclones = 0,
+      .markers = {}};
+  expect_stats(sim.run(t), want);
+}
+
+TEST(RamulatorTest, PinnedRowCloneAndMarkers) {
+  // Measurement windows around RowClone bursts, with loads of the copied
+  // rows in between so clones and column accesses share banks.
+  std::vector<cpu::TraceRecord> recs;
+  for (int window = 0; window < 3; ++window) {
+    recs.push_back(marker());
+    workloads::TraceBuilder w;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const std::uint64_t src = (2 * i + 16 * window) * 8192;
+      w.rowclone(src, src + 8192);
+      w.load_dependent(src + 8192 + i * 64);
+      w.load(src + 4096);
+    }
+    for (const cpu::TraceRecord& r : w.take()) recs.push_back(r);
+  }
+  recs.push_back(marker());
+  RamulatorSim sim(small_cfg());
+  cpu::VectorTrace t(std::move(recs));
+  const RamStats want{
+      .cycles = 22301,
+      .instructions = 196,
+      .loads = 48,
+      .stores = 0,
+      .llc_misses = 48,
+      .mem_reads = 48,
+      .mem_writes = 0,
+      .row_hits = 48,
+      .row_misses = 45,
+      .rowclones = 24,
+      .markers = {0, 7196, 14748, 22300}};
+  expect_stats(sim.run(t), want);
 }
 
 }  // namespace

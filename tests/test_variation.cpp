@@ -153,6 +153,37 @@ TEST_P(ShapeSweep, ShapeControlsStrongFraction) {
   EXPECT_LE(fraction, param.max_expected_strong);
 }
 
+/// DramDevice counts a read at or above max_trcd as reliable without a
+/// lookup; that is exact only while no line's value exceeds max_trcd.
+TEST_P(ShapeSweep, NoLineExceedsMaxTrcd) {
+  Geometry geo;
+  VariationConfig cfg;
+  cfg.shape = GetParam().shape;
+  const VariationModel model(geo, cfg);
+  for (std::uint32_t bank = 0; bank < 4; ++bank) {
+    for (std::uint32_t row = 0; row < 4096; row += 7) {
+      for (std::uint32_t col = 0; col < geo.cols_per_row(); col += 5) {
+        ASSERT_LE(model.line_min_trcd(bank, row, col), cfg.max_trcd)
+            << "bank " << bank << " row " << row << " col " << col;
+      }
+    }
+  }
+}
+
+TEST(VariationContractTest, RejectsConfigsThatBreakTheMaxTrcdBound) {
+  const Geometry geo;
+  VariationConfig zero_shape;
+  zero_shape.shape = 0.0;
+  EXPECT_THROW(VariationModel(geo, zero_shape), ContractViolation);
+  VariationConfig inverted;
+  inverted.min_trcd = Picoseconds{11000};
+  inverted.max_trcd = Picoseconds{10000};
+  EXPECT_THROW(VariationModel(geo, inverted), ContractViolation);
+  VariationConfig upward_jitter;
+  upward_jitter.line_jitter = Picoseconds{-1};
+  EXPECT_THROW(VariationModel(geo, upward_jitter), ContractViolation);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSweep,
                          ::testing::Values(ShapeCase{1.0, 0.1, 0.7},
                                            ShapeCase{3.05, 0.78, 0.92},
