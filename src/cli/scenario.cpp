@@ -1,6 +1,7 @@
 #include "cli/scenario.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -107,10 +108,12 @@ struct ParsedArgs {
   std::string error;
 };
 
+// Rejects trailing junk and out-of-range values (strtoll saturates those).
 std::optional<long long> parse_int(const char* text) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(text, &end, 0);
-  if (end == text || *end != '\0') return std::nullopt;
+  if (end == text || *end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
 }
 
@@ -137,9 +140,10 @@ ParsedArgs parse_args(int argc, char** argv) {
       if (const char* v = value()) a.out_path = v;
     } else if (arg == "--seed") {
       if (const char* v = value()) {
-        char* end = nullptr;
-        a.opts.seed = std::strtoull(v, &end, 0);
-        if (end == v || *end != '\0') a.error = "bad --seed value";
+        // The JSON envelope records the seed as a signed 64-bit integer.
+        const auto n = parse_int(v);
+        if (!n || *n < 0) a.error = "bad --seed value (need 0 .. 2^63-1)";
+        else a.opts.seed = static_cast<std::uint64_t>(*n);
       }
     } else if (arg == "--iters") {
       if (const char* v = value()) {
@@ -207,6 +211,7 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --scenario NAME  scenario to run (repeatable; see --list)\n"
         "  --list           list registered scenarios and exit\n"
         "  --seed N         base RNG seed for the synthetic DRAM chip\n"
+        "                   (0 .. 2^63-1)\n"
         "  --iters N        independent repetitions (per-rep seed streams)\n"
         "  --threads N      host threads running a scenario's independent\n"
         "                   sweep tasks (results are identical at any N)\n"

@@ -26,13 +26,13 @@ namespace {
 Json run_validation(const RunOptions& opts) {
   struct Entry {
     std::string name;
-    std::vector<cpu::TraceRecord> (*polybench)() = nullptr;  // Null = lmbench.
+    bool polybench = true;  // False = lmbench.
   };
   std::vector<Entry> entries;
   for (const auto& kernel : workloads::all_kernels()) {
-    entries.push_back({std::string(kernel.name), kernel.generate});
+    entries.push_back({std::string(kernel.name)});
   }
-  entries.push_back({"lmbench-lat-mem-rd", nullptr});
+  entries.push_back({"lmbench-lat-mem-rd", false});
 
   struct Point {
     std::int64_t ref_cycles = 0;
@@ -47,8 +47,8 @@ Json run_validation(const RunOptions& opts) {
         const Entry& e = entries[task % n];
         const std::uint64_t seed = rep_seed(opts, static_cast<int>(rep));
         const std::vector<cpu::TraceRecord> records =
-            e.polybench != nullptr ? e.polybench()
-                                   : workloads::make_lmbench_chase(2 << 20, 4);
+            e.polybench ? workloads::generate_kernel(e.name)
+                        : workloads::make_lmbench_chase(2 << 20, 4);
 
         sys::SystemConfig ts_cfg = sys::validation_time_scaling();
         ts_cfg.variation.seed = seed;

@@ -80,26 +80,26 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
   outstanding_loads_.clear();
   store_slots_.clear();
 
-  TraceRecord rec;
   bool last_rowclone_ok = true;
   std::uint32_t current_stream = 0;
   mem.set_stream(current_stream);
-  while (trace.next(rec, last_rowclone_ok)) {
+  while (const TraceRecord* rec = trace.next(last_rowclone_ok)) {
     // Stream identity is sticky on the backend: every request this record
     // causes — including writebacks of lines another stream dirtied — is
     // attributed to the stream whose access is executing now.
-    if (rec.stream != current_stream) {
-      current_stream = rec.stream;
+    if (rec->stream != current_stream) {
+      current_stream = rec->stream;
       mem.set_stream(current_stream);
     }
-    advance_for_instructions(rec.gap_instructions + 1);
-    const std::uint64_t line = rec.addr & ~std::uint64_t{63};
+    advance_for_instructions(rec->gap_instructions + 1);
+    const std::uint64_t line = rec->addr & ~std::uint64_t{63};
 
-    switch (rec.op) {
+    switch (rec->op) {
       case Op::kLoad:
       case Op::kLoadDependent: {
         ++result_.loads;
-        const bool dependent = cfg_.blocking_loads || rec.op == Op::kLoadDependent;
+        const bool dependent =
+            cfg_.blocking_loads || rec->op == Op::kLoadDependent;
         if (l1_.access(line)) {
           if (dependent) cycle_ += cfg_.l1_latency;
           break;
@@ -170,15 +170,21 @@ RunResult Core::run(TraceSource& trace, MemoryBackend& mem) {
       }
 
       case Op::kRowClone: {
+        const std::uint64_t src = rec->addr;
+        const std::uint64_t dst = next_rowclone_dst(trace, last_rowclone_ok);
         ++result_.rowclones;
         cycle_ += cfg_.rowclone_trigger_cycles.count;
-        const std::uint64_t id = mem.submit_rowclone(rec.addr, rec.addr2, cycle_);
+        const std::uint64_t id = mem.submit_rowclone(src, dst, cycle_);
         const Completion c = mem.wait(id);
         cycle_ = std::max(cycle_, c.release_cycle);
         last_rowclone_ok = c.ok;
         if (!c.ok) ++result_.rowclone_fallbacks;
         break;
       }
+
+      case Op::kRowCloneDst:
+        EASYDRAM_EXPECTS(!"kRowCloneDst without a preceding kRowClone");
+        break;
 
       case Op::kDrain:
         drain_all(mem);

@@ -4,6 +4,8 @@
 #include <span>
 #include <vector>
 
+#include "common/contracts.hpp"
+
 namespace easydram::cpu {
 
 /// Operations in a core execution trace.
@@ -17,18 +19,24 @@ enum class Op : std::uint8_t {
   /// it as a plain store.
   kStoreStream,
   kFlush,     ///< Cache-line flush via the memory-mapped register (§7.1).
-  kRowClone,  ///< Trigger an in-DRAM copy of addr -> addr2.
+  /// Trigger an in-DRAM copy of the row at `addr` onto the row named by the
+  /// kRowCloneDst operand record that must directly follow this one.
+  kRowClone,
+  /// Operand of the preceding kRowClone: `addr` is the copy destination.
+  /// Consumed inside the kRowClone step, so it retires no instruction and
+  /// its other fields are ignored. Anywhere else it is a contract violation.
+  kRowCloneDst,
   kDrain,     ///< Memory barrier: wait for all outstanding requests.
   kMarker,    ///< Snapshot the cycle counter into RunResult::markers.
 };
 
 /// One trace record: `gap_instructions` non-memory instructions execute
-/// before the operation itself. Kept at 24 bytes: generating a multi-
+/// before the operation itself. Kept at 16 bytes: generating a multi-
 /// million-record trace is bound by first-touch page faults, so its cost
-/// scales with the record size.
+/// scales with the record size. The one two-address operation (RowClone)
+/// spends a second record instead of widening every record.
 struct TraceRecord {
   std::uint64_t addr = 0;
-  std::uint64_t addr2 = 0;  ///< kRowClone destination.
   std::uint32_t gap_instructions = 0;
   /// Traffic-stream identity for multi-tenant traces. The core forwards it
   /// to the memory backend so every memory request it causes (including
@@ -36,16 +44,29 @@ struct TraceRecord {
   std::uint16_t stream = 0;
   Op op = Op::kLoad;
 };
-static_assert(sizeof(TraceRecord) == 24);
+static_assert(sizeof(TraceRecord) == 16);
 
-/// Pull-based trace generator. `last_rowclone_ok` feeds back the outcome of
-/// the most recent kRowClone so generators can emit CPU-fallback accesses,
-/// exactly as the paper's software falls back to load/store copies.
+/// Pull-based trace generator. `next` returns the next record, or nullptr
+/// at the end of the trace; the record stays valid until the following
+/// call, so consumers read it in place. `last_rowclone_ok` feeds back the
+/// outcome of the most recent kRowClone so generators can emit CPU-fallback
+/// accesses, exactly as the paper's software falls back to load/store
+/// copies.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
-  virtual bool next(TraceRecord& out, bool last_rowclone_ok) = 0;
+  virtual const TraceRecord* next(bool last_rowclone_ok) = 0;
 };
+
+/// Fetches the kRowCloneDst operand that must directly follow a kRowClone
+/// and returns the copy destination. Like any next() call, it invalidates
+/// the kRowClone record.
+inline std::uint64_t next_rowclone_dst(TraceSource& trace,
+                                       bool last_rowclone_ok) {
+  const TraceRecord* dst = trace.next(last_rowclone_ok);
+  EASYDRAM_EXPECTS(dst != nullptr && dst->op == Op::kRowCloneDst);
+  return dst->addr;
+}
 
 /// A trace replayed from a pre-recorded vector (ignores feedback).
 class VectorTrace final : public TraceSource {
@@ -53,10 +74,8 @@ class VectorTrace final : public TraceSource {
   explicit VectorTrace(std::vector<TraceRecord> records)
       : records_(std::move(records)) {}
 
-  bool next(TraceRecord& out, bool /*last_rowclone_ok*/) override {
-    if (cursor_ >= records_.size()) return false;
-    out = records_[cursor_++];
-    return true;
+  const TraceRecord* next(bool /*last_rowclone_ok*/) override {
+    return cursor_ < records_.size() ? &records_[cursor_++] : nullptr;
   }
 
   void rewind() { cursor_ = 0; }
@@ -76,10 +95,8 @@ class SpanTrace final : public TraceSource {
   explicit SpanTrace(std::span<const TraceRecord> records)
       : records_(records) {}
 
-  bool next(TraceRecord& out, bool /*last_rowclone_ok*/) override {
-    if (cursor_ >= records_.size()) return false;
-    out = records_[cursor_++];
-    return true;
+  const TraceRecord* next(bool /*last_rowclone_ok*/) override {
+    return cursor_ < records_.size() ? &records_[cursor_++] : nullptr;
   }
 
   void rewind() { cursor_ = 0; }

@@ -202,8 +202,10 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
   std::int64_t stall_until = 0;
   std::uint64_t stall_on_id = 0;
 
-  cpu::TraceRecord rec;
-  bool have_rec = false;
+  // The record being retired; null once consumed. TraceSource keeps it
+  // valid until the next call, which comes only once it is consumed (a
+  // kRowClone's operand fetch included).
+  const cpu::TraceRecord* rec = nullptr;
   std::uint32_t gap_left = 0;
   bool trace_done = false;
 
@@ -272,19 +274,19 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       if (cycle < stall_until) break;
       if (stall_on_id != 0) break;
 
-      if (!have_rec) {
+      if (rec == nullptr) {
         if (trace_done || stats_.instructions >= cfg_.max_instructions) {
           trace_done = true;
           resource_blocked = true;
           break;
         }
-        have_rec = trace.next(rec, /*last_rowclone_ok=*/true);
-        if (!have_rec) {
+        rec = trace.next(/*last_rowclone_ok=*/true);
+        if (rec == nullptr) {
           trace_done = true;
           resource_blocked = true;
           break;
         }
-        gap_left = rec.gap_instructions;
+        gap_left = rec->gap_instructions;
       }
 
       if (gap_left > 0) {
@@ -296,14 +298,16 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
         continue;
       }
 
-      const std::uint64_t line = rec.addr & ~std::uint64_t{63};
+      const std::uint64_t line = rec->addr & ~std::uint64_t{63};
       bool consumed = true;
-      switch (rec.op) {
+      switch (rec->op) {
         case cpu::Op::kLoad:
         case cpu::Op::kLoadDependent: {
           ++stats_.loads;
           if (llc.access(line)) {
-            if (rec.op == cpu::Op::kLoadDependent) stall_until = cycle + cfg_.llc_latency;
+            if (rec->op == cpu::Op::kLoadDependent) {
+              stall_until = cycle + cfg_.llc_latency;
+            }
             break;
           }
           ++stats_.llc_misses;
@@ -318,7 +322,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
           const cpu::FillResult fill = llc.fill(line);
           if (fill.evicted && fill.evicted_dirty) enqueue_write(map(fill.evicted_line));
           const std::uint64_t id = enqueue_read(map(line));
-          if (rec.op == cpu::Op::kLoadDependent) stall_on_id = id;
+          if (rec->op == cpu::Op::kLoadDependent) stall_on_id = id;
           break;
         }
 
@@ -357,9 +361,13 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
             consumed = false;
             break;
           }
+          // Fetch the destination operand only now that the clone is
+          // enqueued. This invalidates `rec`, which is not read again.
+          const std::uint64_t dst =
+              cpu::next_rowclone_dst(trace, /*last_rowclone_ok=*/true);
           MemRequest r;
           r.id = next_id++;
-          r.addr = map(rec.addr2 & ~std::uint64_t{63});
+          r.addr = map(dst & ~std::uint64_t{63});
           r.is_rowclone = true;
           r.seq = seq_++;
           read_queue_.push_back(r);
@@ -368,6 +376,10 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
           stall_on_id = r.id;
           break;
         }
+
+        case cpu::Op::kRowCloneDst:
+          EASYDRAM_EXPECTS(!"kRowCloneDst without a preceding kRowClone");
+          break;
 
         case cpu::Op::kDrain: {
           if (inflight != 0 || !write_queue_.empty()) {
@@ -392,7 +404,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
       }
       ++stats_.instructions;
       --budget;
-      have_rec = false;
+      rec = nullptr;
       progressed = true;
     }
 
@@ -407,7 +419,7 @@ RamStats RamulatorSim::run(cpu::TraceSource& trace) {
     const auto run_finished = [&] {
       const bool memory_idle = inflight == 0 && read_queue_.empty() &&
                                write_queue_.empty() && completions_.empty();
-      return trace_done && !have_rec && memory_idle && stall_on_id == 0 &&
+      return trace_done && rec == nullptr && memory_idle && stall_on_id == 0 &&
              cycle >= stall_until;
     };
     if (run_finished()) break;

@@ -39,13 +39,10 @@ class TraceBuilder {
   void store(std::uint64_t addr, std::uint32_t gap) { push(cpu::Op::kStore, addr, gap); }
   void flush(std::uint64_t addr) { push(cpu::Op::kFlush, addr, 1); }
   void drain() { push(cpu::Op::kDrain, 0, 0); }
+  /// A kRowClone record followed by its kRowCloneDst operand.
   void rowclone(std::uint64_t src, std::uint64_t dst) {
-    cpu::TraceRecord r;
-    r.op = cpu::Op::kRowClone;
-    r.gap_instructions = 2;
-    r.addr = src;
-    r.addr2 = dst;
-    records_.push_back(r);
+    records_.push_back(cpu::TraceRecord{src, 2, 0, cpu::Op::kRowClone});
+    records_.push_back(cpu::TraceRecord{dst, 0, 0, cpu::Op::kRowCloneDst});
   }
   void compute(std::uint32_t instructions) {
     // Pure-compute stretch: attach the instructions to a NOP-like record by

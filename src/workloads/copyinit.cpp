@@ -6,13 +6,11 @@ namespace easydram::workloads {
 
 namespace {
 
-cpu::TraceRecord make(cpu::Op op, std::uint64_t addr, std::uint32_t gap,
-                      std::uint64_t addr2 = 0) {
+cpu::TraceRecord make(cpu::Op op, std::uint64_t addr, std::uint32_t gap) {
   cpu::TraceRecord r;
   r.op = op;
   r.gap_instructions = gap;
   r.addr = addr;
-  r.addr2 = addr2;
   return r;
 }
 
@@ -134,7 +132,8 @@ void CopyInitTrace::enqueue_row(std::size_t row_index) {
   const std::uint64_t dst = params_.kind == CopyInitParams::Kind::kCopy
                                 ? row_base(copy_plan_[row_index].dst)
                                 : row_base(init_plan_[row_index].dst);
-  pending_.push_back(make(cpu::Op::kRowClone, src, 2, dst));
+  pending_.push_back(make(cpu::Op::kRowClone, src, 2));
+  pending_.push_back(make(cpu::Op::kRowCloneDst, dst, 0));
   awaiting_feedback_ = true;
 }
 
@@ -143,7 +142,9 @@ void CopyInitTrace::enqueue_final() {
   phase_ = Phase::kDone;
 }
 
-bool CopyInitTrace::next(cpu::TraceRecord& out, bool last_rowclone_ok) {
+const cpu::TraceRecord* CopyInitTrace::next(bool last_rowclone_ok) {
+  // The consumer fetches a kRowClone's operand before executing the clone,
+  // so the pair drains pending_ and the call after it carries the outcome.
   if (awaiting_feedback_ && pending_.empty()) {
     awaiting_feedback_ = false;
     if (!last_rowclone_ok) {
@@ -170,13 +171,13 @@ bool CopyInitTrace::next(cpu::TraceRecord& out, bool last_rowclone_ok) {
         enqueue_final();
         break;
       case Phase::kDone:
-        return false;
+        return nullptr;
     }
   }
 
-  out = pending_.front();
+  current_ = pending_.front();
   pending_.pop_front();
-  return true;
+  return &current_;
 }
 
 }  // namespace easydram::workloads

@@ -47,7 +47,7 @@ class CopyInitTrace final : public cpu::TraceSource {
                 std::vector<smc::CopyPlanEntry> copy_plan,
                 std::vector<smc::InitPlanEntry> init_plan);
 
-  bool next(cpu::TraceRecord& out, bool last_rowclone_ok) override;
+  const cpu::TraceRecord* next(bool last_rowclone_ok) override;
 
   std::size_t rows() const;
 
@@ -72,6 +72,7 @@ class CopyInitTrace final : public cpu::TraceSource {
   std::size_t row_index_ = 0;
   bool awaiting_feedback_ = false;
   std::deque<cpu::TraceRecord> pending_;
+  cpu::TraceRecord current_;  ///< The record next() last returned.
 };
 
 }  // namespace easydram::workloads

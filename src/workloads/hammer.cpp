@@ -114,6 +114,9 @@ std::vector<cpu::TraceRecord> make_hammer_blend(
   blend.reserve(background.size() + hammer.size());
   std::size_t hammer_cursor = 0;
   for (std::size_t i = 0; i < background.size(); ++i) {
+    // Bursts land between any two records, so they could split a
+    // kRowClone from its kRowCloneDst operand.
+    EASYDRAM_EXPECTS(background[i].op != cpu::Op::kRowClone);
     blend.push_back(background[i]);
     if ((i + 1) % burst_period == 0 && hammer_cursor < hammer.size()) {
       const std::size_t end = std::min(hammer_cursor + per_round, hammer.size());

@@ -68,6 +68,8 @@ std::vector<cpu::TraceRecord> make_hammer_trace(const HammerParams& p,
 /// `burst_period` background records — the "attacker thread sharing the
 /// memory system with a victim application" mix. Hammer rounds beyond the
 /// background's end run back to back; `p.rounds` still bounds the total.
+/// `background` must hold no kRowClone: a burst could split it from its
+/// operand (ContractViolation).
 std::vector<cpu::TraceRecord> make_hammer_blend(
     const HammerParams& p, const smc::AddressMapper& mapper,
     std::span<const cpu::TraceRecord> background, std::size_t burst_period);

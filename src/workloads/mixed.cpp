@@ -119,7 +119,11 @@ MixedTrace make_mixed_trace(std::span<const TenantSpec> tenants,
     }
     EASYDRAM_ENSURES(pick < tenants.size());
     credit[pick] -= static_cast<std::int64_t>(total);
-    mixed.interleaved.push_back(mixed.solo[pick][cursor[pick]++]);
+    // Records interleave one at a time, which would split a kRowClone from
+    // its kRowCloneDst operand.
+    const cpu::TraceRecord& rec = mixed.solo[pick][cursor[pick]++];
+    EASYDRAM_EXPECTS(rec.op != cpu::Op::kRowClone);
+    mixed.interleaved.push_back(rec);
   }
   return mixed;
 }

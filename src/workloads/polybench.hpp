@@ -12,10 +12,11 @@ namespace easydram::workloads {
 ///
 /// Each generator reproduces the exact loop nest and array access pattern
 /// of the PolyBench 4.2 kernel; dataset sizes are reduced from the paper's
-/// "large" configuration so whole-suite benches finish in seconds (see
-/// DESIGN.md: the substitution preserves the loop structure and the
-/// relative memory intensity spread across kernels, which is what the
-/// evaluation figures depend on).
+/// "large" configuration so whole-suite runs finish in seconds. The
+/// substitution preserves the loop structure and the relative memory
+/// intensity spread across kernels, which is what the evaluation figures
+/// depend on. Call generate_kernel rather than `generate` directly: it
+/// pre-reserves the exact record count.
 struct PolybenchKernel {
   std::string_view name;
   std::vector<cpu::TraceRecord> (*generate)();

@@ -9,6 +9,8 @@
 #include "cpu/core.hpp"
 #include "cpu/presets.hpp"
 #include "cpu/trace.hpp"
+#include "workloads/builder.hpp"
+#include "workloads/copyinit.hpp"
 
 namespace easydram::cpu {
 namespace {
@@ -397,17 +399,24 @@ TEST(CoreTest, RowCloneFeedbackReachesTrace) {
   /// Trace source that emits one rowclone then reports the feedback.
   class FeedbackProbe final : public TraceSource {
    public:
-    bool next(TraceRecord& out, bool last_rowclone_ok) override {
-      if (step_ == 1) saw_ok = last_rowclone_ok;
-      if (step_++ > 0) return false;
-      out = TraceRecord{};
-      out.op = Op::kRowClone;
-      out.addr = 0;
-      out.addr2 = 8192;
-      return true;
+    const TraceRecord* next(bool last_rowclone_ok) override {
+      switch (step_++) {
+        case 0:
+          rec_ = TraceRecord{0, 2, 0, Op::kRowClone};
+          return &rec_;
+        case 1:
+          rec_ = TraceRecord{8192, 0, 0, Op::kRowCloneDst};
+          return &rec_;
+        default:
+          if (step_ == 3) saw_ok = last_rowclone_ok;
+          return nullptr;
+      }
     }
     int step_ = 0;
     bool saw_ok = true;
+
+   private:
+    TraceRecord rec_;
   };
 
   Core core(tiny_core(), tiny_caches());
@@ -431,12 +440,14 @@ TEST(TraceRecordTest, RowCloneAddressesReachBackendUnchanged) {
   TraceRecord rc;
   rc.op = Op::kRowClone;
   rc.addr = 0x0123'4567'89AB'CDC0;
-  rc.addr2 = 0xFEDC'BA98'7654'3200;
-  VectorTrace trace(std::vector<TraceRecord>{rc});
+  TraceRecord dst;
+  dst.op = Op::kRowCloneDst;
+  dst.addr = 0xFEDC'BA98'7654'3200;
+  VectorTrace trace(std::vector<TraceRecord>{rc, dst});
   core.run(trace, mem);
   ASSERT_EQ(mem.rowclones.size(), 1u);
   EXPECT_EQ(mem.rowclones[0].first, rc.addr);
-  EXPECT_EQ(mem.rowclones[0].second, rc.addr2);
+  EXPECT_EQ(mem.rowclones[0].second, dst.addr);
 }
 
 TEST(TraceRecordTest, StreamReachesBackendUnchanged) {
@@ -462,9 +473,11 @@ TEST(TraceRecordTest, VectorAndSpanReplaysAgree) {
     r.op = ops[i % std::size(ops)];
     r.gap_instructions = i % 7;
     r.addr = (i * 4160ull) % (64 * 1024);  // Line-aligned, within 64 KiB.
-    r.addr2 = r.addr + 8192;
     r.stream = static_cast<std::uint16_t>(i / 50);
     t.push_back(r);
+    if (r.op == Op::kRowClone) {
+      t.push_back(TraceRecord{r.addr + 8192, 0, 0, Op::kRowCloneDst});
+    }
   }
 
   Core span_core(tiny_core(), tiny_caches());
@@ -484,6 +497,99 @@ TEST(TraceRecordTest, VectorAndSpanReplaysAgree) {
   EXPECT_EQ(vec_mem.writes, span_mem.writes);
   EXPECT_EQ(vec_mem.rowclones, span_mem.rowclones);
   EXPECT_EQ(vec_mem.streams, span_mem.streams);
+}
+
+TEST(TraceRecordTest, BuilderRowClonePairRetiresAsOneStep) {
+  workloads::TraceBuilder b(1);
+  b.load(0);
+  b.rowclone(8192, 16384);
+  b.load(64);
+  const std::vector<TraceRecord> t = b.take();
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t[1].op, Op::kRowClone);
+  EXPECT_EQ(t[2].op, Op::kRowCloneDst);
+  EXPECT_EQ(t[2].addr, 16384u);
+
+  Core core(tiny_core(), tiny_caches());
+  FixedLatencyBackend mem(10);
+  VectorTrace trace(t);
+  const RunResult r = core.run(trace, mem);
+  ASSERT_EQ(mem.rowclones.size(), 1u);
+  EXPECT_EQ(mem.rowclones[0].first, 8192u);
+  EXPECT_EQ(mem.rowclones[0].second, 16384u);
+
+  // The operand retires nothing: three records' worth of instructions
+  // (gaps 1, 2, 1 plus one each) and cycles = load issue (2) + clone issue
+  // (3) + trigger (600) + clone latency (10) + load issue (2) + that
+  // load's latency (10).
+  RunResult want;
+  want.cycles = 2 + 3 + 600 + 10 + 2 + 10;
+  want.instructions = 7;
+  want.loads = 2;
+  want.l1_misses = 2;
+  want.l2_misses = 2;
+  want.mem_reads = 2;
+  want.rowclones = 1;
+  EXPECT_EQ(r, want);
+}
+
+TEST(TraceRecordTest, RowCloneOperandOutOfPlaceIsContractViolation) {
+  const TraceRecord load{0, 0, 0, Op::kLoad};
+  const TraceRecord clone{0, 2, 0, Op::kRowClone};
+  const TraceRecord dst{8192, 0, 0, Op::kRowCloneDst};
+  const std::vector<std::vector<TraceRecord>> bad = {
+      {dst},                      // Stray: no kRowClone before it.
+      {load, dst},                // Stray after another op.
+      {clone, dst, dst},          // Trailing: a second operand.
+      {clone, load},              // Missing: another op follows.
+      {clone},                    // Missing: the trace ends.
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    Core core(tiny_core(), tiny_caches());
+    FixedLatencyBackend mem(10);
+    VectorTrace trace(bad[i]);
+    EXPECT_THROW(core.run(trace, mem), ContractViolation) << "case " << i;
+  }
+}
+
+TEST(CoreTest, CopyInitFallbackSeesRowCloneFeedback) {
+  // A generator that reacts to RowClone outcomes must see each clone's
+  // result on the call after its operand, through the real core.
+  const dram::Geometry geo;
+  const smc::LinearMapper mapper(geo);
+  auto run = [&](bool clone_ok) {
+    std::vector<smc::CopyPlanEntry> plan(2);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      plan[i].src = smc::RowRef{0, 2 * i};
+      plan[i].dst = smc::RowRef{0, 2 * i + 1};
+      plan[i].use_rowclone = true;
+    }
+    workloads::CopyInitParams p;
+    p.use_rowclone = true;
+    workloads::CopyInitTrace trace(p, mapper, std::move(plan), {});
+    Core core(tiny_core(), tiny_caches());
+    FixedLatencyBackend mem(10);
+    mem.rowclone_ok = clone_ok;
+    const RunResult r = core.run(trace, mem);
+    EXPECT_EQ(mem.rowclones.size(), 2u);
+    for (std::uint32_t i = 0; i < mem.rowclones.size(); ++i) {
+      EXPECT_EQ(mem.rowclones[i].first,
+                mapper.to_physical(dram::DramAddress{0, 2 * i, 0}));
+      EXPECT_EQ(mem.rowclones[i].second,
+                mapper.to_physical(dram::DramAddress{0, 2 * i + 1, 0}));
+    }
+    return r;
+  };
+  const RunResult ok = run(true);
+  EXPECT_EQ(ok.rowclones, 2);
+  EXPECT_EQ(ok.rowclone_fallbacks, 0);
+  EXPECT_EQ(ok.loads, 0);
+  const std::int64_t cols = dram::Geometry{}.cols_per_row();
+  const RunResult failed = run(false);
+  EXPECT_EQ(failed.rowclones, 2);
+  EXPECT_EQ(failed.rowclone_fallbacks, 2);
+  EXPECT_EQ(failed.loads, 2 * cols);  // Both rows redone by the CPU.
+  EXPECT_EQ(failed.stores, 2 * cols);
 }
 
 TEST(CoreTest, MarkersSnapshotCycles) {

@@ -272,11 +272,9 @@ TEST(RowCloneTriggerTest, TriggerCyclesChargedToCore) {
     smc::RowClonePairTester tester(sysm.api(), 2);
     tester.test(0, 0, 1, sysm.clone_map());
     sysm.enable_rowclone();
-    std::vector<cpu::TraceRecord> recs(1);
-    recs[0].op = cpu::Op::kRowClone;
-    recs[0].addr = 0;
-    recs[0].addr2 = 8192;
-    cpu::VectorTrace trace(std::move(recs));
+    workloads::TraceBuilder b;
+    b.rowclone(0, 8192);
+    cpu::VectorTrace trace(b.take());
     return sysm.run(trace).cycles;
   };
   EXPECT_GE(run_one(with) - run_one(without), 5000);

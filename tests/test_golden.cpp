@@ -23,7 +23,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -219,6 +222,10 @@ TEST(CliArgsTest, BadInputExitsWithUsageError) {
       {"--sched", "auto", "--scenario", "quickstart"},  // Removed token.
       {"--iters"},
       {"--scenario", "nosuch"},
+      {"--seed", "-5", "--scenario", "quickstart"},  // Would wrap.
+      {"--seed", "99999999999999999999999", "--scenario",  // Overflow.
+       "quickstart"},
+      {"--seed", "9223372036854775808", "--scenario", "quickstart"},  // 2^63.
   };
   for (const auto& args : kBadArgs) {
     std::vector<std::string> storage{"easydram_cli", "--quiet"};
@@ -231,6 +238,24 @@ TEST(CliArgsTest, BadInputExitsWithUsageError) {
     EXPECT_EQ(scenario_main(static_cast<int>(storage.size()), argv.data()), 2)
         << "easydram_cli" << joined;
   }
+}
+
+/// The largest accepted seed round-trips into the JSON envelope unchanged.
+TEST(CliArgsTest, SeedAcceptsTheFullSignedRange) {
+  const std::string out = testing::TempDir() + "cli_seed_max.json";
+  std::vector<std::string> storage{"easydram_cli", "--quiet", "--seed",
+                                   "9223372036854775807", "--scenario",
+                                   "quickstart", "--out", out};
+  std::vector<char*> argv;
+  for (std::string& a : storage) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ASSERT_EQ(scenario_main(static_cast<int>(storage.size()), argv.data()), 0);
+  std::ifstream in(out);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::remove(out.c_str());
+  EXPECT_NE(doc.find("\"seed\": 9223372036854775807"), std::string::npos)
+      << doc;
 }
 
 }  // namespace

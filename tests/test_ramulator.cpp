@@ -86,6 +86,38 @@ TEST(RamulatorTest, RowCloneIsIdealized) {
   EXPECT_LT(s.cycles, 20'000);
 }
 
+TEST(RamulatorTest, RowCloneOperandRetiresWithTheClone) {
+  RamulatorSim sim(small_cfg());
+  workloads::TraceBuilder b(1);
+  b.load(0);
+  b.rowclone(8192, 16384);
+  b.load(64);
+  cpu::VectorTrace t(b.take());
+  const RamStats s = sim.run(t);
+  EXPECT_EQ(s.rowclones, 1);
+  EXPECT_EQ(s.loads, 2);
+  // Gaps plus one per op; none for the operand.
+  EXPECT_EQ(s.instructions, 2 + 3 + 2);
+}
+
+TEST(RamulatorTest, RowCloneOperandOutOfPlaceIsContractViolation) {
+  const cpu::TraceRecord load{0, 0, 0, cpu::Op::kLoad};
+  const cpu::TraceRecord clone{0, 2, 0, cpu::Op::kRowClone};
+  const cpu::TraceRecord dst{8192, 0, 0, cpu::Op::kRowCloneDst};
+  const std::vector<std::vector<cpu::TraceRecord>> bad = {
+      {dst},              // Stray: no kRowClone before it.
+      {load, dst},        // Stray after another op.
+      {clone, dst, dst},  // Trailing: a second operand.
+      {clone, load},      // Missing: another op follows.
+      {clone},            // Missing: the trace ends.
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    RamulatorSim sim(small_cfg());
+    cpu::VectorTrace t(bad[i]);
+    EXPECT_THROW(sim.run(t), ContractViolation) << "case " << i;
+  }
+}
+
 TEST(RamulatorTest, InstructionCapStopsSimulation) {
   RamulatorConfig cfg = small_cfg();
   cfg.max_instructions = 1000;

@@ -58,7 +58,7 @@ TEST(LmbenchTest, LoadsPerPass) {
 
 TEST(PolybenchTest, AllKernelsGenerate) {
   for (const PolybenchKernel& k : all_kernels()) {
-    const auto t = k.generate();
+    const auto t = generate_kernel(k.name);
     EXPECT_GT(t.size(), 10'000u) << k.name;
     EXPECT_LT(t.size(), 20'000'000u) << k.name;
   }
@@ -81,7 +81,7 @@ TEST(PolybenchTest, UnknownKernelRejected) {
 
 TEST(PolybenchTest, AddressesStayWithinModestFootprint) {
   for (const PolybenchKernel& k : all_kernels()) {
-    const auto t = k.generate();
+    const auto t = generate_kernel(k.name);
     std::uint64_t max_addr = 0;
     for (const auto& r : t) max_addr = std::max(max_addr, r.addr);
     EXPECT_LT(max_addr, 64ull << 20) << k.name;  // < 64 MiB footprint.
@@ -137,11 +137,10 @@ struct CopyInitHarness {
 std::vector<cpu::TraceRecord> collect(cpu::TraceSource& src,
                                       bool rowclone_feedback = true) {
   std::vector<cpu::TraceRecord> out;
-  cpu::TraceRecord r;
   bool ok = true;
-  while (src.next(r, ok)) {
-    out.push_back(r);
-    ok = r.op == cpu::Op::kRowClone ? rowclone_feedback : ok;
+  while (const cpu::TraceRecord* r = src.next(ok)) {
+    out.push_back(*r);
+    ok = r->op == cpu::Op::kRowClone ? rowclone_feedback : ok;
   }
   return out;
 }
@@ -178,6 +177,32 @@ TEST(CopyInitTest, RowCloneVariantEmitsClones) {
   }
   EXPECT_EQ(clones, 3);
   EXPECT_EQ(loads, 0);
+}
+
+TEST(CopyInitTest, EveryCloneIsFollowedByItsDestination) {
+  CopyInitHarness h;
+  CopyInitParams p;
+  p.kind = CopyInitParams::Kind::kCopy;
+  p.use_rowclone = true;
+  p.clflush = true;
+  CopyInitTrace trace(p, h.mapper, h.copy_plan(3, true), {});
+  const auto recs = collect(trace, /*rowclone_feedback=*/false);
+  std::uint32_t clones = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].op == cpu::Op::kRowCloneDst) {
+      ASSERT_GT(i, 0u);
+      EXPECT_EQ(recs[i - 1].op, cpu::Op::kRowClone);
+    }
+    if (recs[i].op != cpu::Op::kRowClone) continue;
+    ASSERT_LT(i + 1, recs.size());
+    EXPECT_EQ(recs[i].addr,
+              h.mapper.to_physical(dram::DramAddress{0, 2 * clones, 0}));
+    EXPECT_EQ(recs[i + 1].op, cpu::Op::kRowCloneDst);
+    EXPECT_EQ(recs[i + 1].addr,
+              h.mapper.to_physical(dram::DramAddress{0, 2 * clones + 1, 0}));
+    ++clones;
+  }
+  EXPECT_EQ(clones, 3u);
 }
 
 TEST(CopyInitTest, FailedCloneFallsBackToCpu) {
@@ -360,6 +385,20 @@ TEST(HammerTest, BlendSplicesWholeRoundsAndKeepsEveryRecord) {
   EXPECT_EQ(blend[10].op, cpu::Op::kLoadDependent);
   EXPECT_EQ(blend[11].op, cpu::Op::kFlush);
   EXPECT_EQ(blend[12].op, cpu::Op::kLoad);  // Background resumes.
+}
+
+TEST(HammerTest, BlendRejectsRowCloneBackground) {
+  // A burst may land between any two background records, so a RowClone
+  // pair in the background could be split from its operand.
+  const dram::Geometry geo;
+  const smc::LinearMapper mapper(geo);
+  HammerParams p;
+  p.rounds = 2;
+  TraceBuilder b;
+  b.load(0);
+  b.rowclone(8192, 16384);
+  const auto background = b.take();
+  EXPECT_THROW(make_hammer_blend(p, mapper, background, 1), ContractViolation);
 }
 
 // --------------------------------------------------------------------------
