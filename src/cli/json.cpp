@@ -1,5 +1,6 @@
 #include "cli/json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,6 +86,35 @@ std::size_t Json::size() const {
   if (is_array()) return std::get<Array>(value_).size();
   if (is_object()) return std::get<Object>(value_).size();
   return 0;
+}
+
+const Json& Json::at(std::string_view key) const {
+  EASYDRAM_EXPECTS(is_object());
+  const Object& obj = std::get<Object>(value_);
+  const auto it = std::find_if(obj.begin(), obj.end(),
+                               [key](const auto& kv) { return kv.first == key; });
+  EASYDRAM_EXPECTS(it != obj.end());
+  return it->second;
+}
+
+const Json& Json::at(std::size_t i) const {
+  EASYDRAM_EXPECTS(is_array() && i < size());
+  return std::get<Array>(value_)[i];
+}
+
+std::int64_t Json::as_int() const {
+  EASYDRAM_EXPECTS(std::holds_alternative<std::int64_t>(value_));
+  return std::get<std::int64_t>(value_);
+}
+
+double Json::as_double() const {
+  if (const double* d = std::get_if<double>(&value_)) return *d;
+  return static_cast<double>(as_int());
+}
+
+const std::string& Json::as_string() const {
+  EASYDRAM_EXPECTS(std::holds_alternative<std::string>(value_));
+  return std::get<std::string>(value_);
 }
 
 void Json::dump(std::ostream& os, int indent) const {

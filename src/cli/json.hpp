@@ -44,6 +44,16 @@ class Json {
 
   std::size_t size() const;
 
+  /// Read access, for checks over a built document. `at` returns member
+  /// `key` / element `i` and throws ContractViolation when it is absent;
+  /// each `as_*` reader requires its type (an integer also reads as a
+  /// double).
+  const Json& at(std::string_view key) const;
+  const Json& at(std::size_t i) const;
+  std::int64_t as_int() const;
+  double as_double() const;
+  const std::string& as_string() const;
+
   /// Serializes pretty-printed with 2-space indentation; `indent` is the
   /// nesting depth the value starts at (used by the recursion).
   void dump(std::ostream& os, int indent = 0) const;

@@ -30,8 +30,10 @@ void register_streamsweep_scenarios(ScenarioRegistry& r);
 
 std::uint64_t rep_seed(const RunOptions& opts, int rep) {
   EASYDRAM_EXPECTS(rep >= 0);
+  // Derived seeds stay in 0 .. 2^63-1, the range --seed accepts, so a
+  // per-rep seed printed in the output is a valid reproducer.
   return rep == 0 ? opts.seed
-                  : hash_mix(opts.seed, static_cast<std::uint64_t>(rep));
+                  : hash_mix(opts.seed, static_cast<std::uint64_t>(rep)) >> 1;
 }
 
 Json rep_metric_json(std::span<const double> per_rep) {
@@ -185,9 +187,7 @@ ParsedArgs parse_args(int argc, char** argv) {
       if (const char* v = value()) {
         const auto kind = smc::parse_scheduler(v);
         if (!kind) {
-          a.error =
-              "bad --sched value (fcfs | frfcfs | parbs | bliss | atlas | "
-              "tcm)";
+          a.error = "bad --sched value (fcfs | frfcfs | atlas)";
         } else {
           a.opts.sched = *kind;
         }
@@ -219,10 +219,9 @@ void print_usage(std::ostream& os, const char* prog) {
         "  --ranks N        ranks per channel (memory-system scenarios)\n"
         "  --mapping KIND   address mapping: linear | line | channel |\n"
         "                   bankpart (static per-tenant bank partitions)\n"
-        "  --sched POLICY   force a scheduling policy: fcfs | frfcfs | parbs\n"
-        "                   | bliss | atlas | tcm (default: each\n"
-        "                   scenario's validated policy; qos_* scenarios\n"
-        "                   restrict their policy sweep to POLICY)\n"
+        "  --sched POLICY   force a scheduling policy: fcfs | frfcfs | atlas\n"
+        "                   (default: each scenario's validated policy;\n"
+        "                   qos_* scenarios run only POLICY)\n"
         "  --out PATH       write the JSON summary to PATH\n"
         "  --quiet          suppress the human-readable tables\n\n"
         "The paper scenarios always run the validated 1-channel/1-rank\n"

@@ -34,14 +34,15 @@ struct RunOptions {
   /// Forced scheduling policy (--sched). Unset by default: scenarios keep
   /// their validated per-experiment policies and the envelope omits the
   /// key, so every pre-existing golden output is unchanged. When set, the
-  /// qos_* scenarios restrict their policy sweeps to this policy and other
-  /// scenarios that build stock systems honor it via SystemConfig::sched.
+  /// qos_* scenarios run only this policy and other scenarios that build
+  /// stock systems honor it via SystemConfig::sched.
   std::optional<smc::SchedulerKind> sched;
 };
 
 /// Deterministic per-repetition seed stream. Repetition 0 keeps the
 /// caller's seed so `--iters 1` (the default) reproduces the single-run
-/// output; later repetitions draw statistically independent streams.
+/// output; later repetitions draw statistically independent streams, each
+/// in 0 .. 2^63-1 so it can be fed back through `--seed`.
 std::uint64_t rep_seed(const RunOptions& opts, int rep);
 
 /// Aggregate of one headline metric across the run's repetitions: the

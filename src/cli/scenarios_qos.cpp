@@ -3,9 +3,8 @@
 // interleaved into one N-stream request flow, measured per stream. These
 // are repository extensions beyond the paper's single-tenant case studies:
 // the software memory controller makes scheduling a C++ policy swap, so
-// the QoS scheduler family (PAR-BS / BLISS / ATLAS / TCM) and static bank
-// partitioning are exactly the kind of experiment EasyDRAM exists to make
-// cheap.
+// an ATLAS-style QoS scheduler and static bank partitioning are exactly the
+// kind of experiment EasyDRAM exists to make cheap.
 //
 // Every tenant's working set must be memory-resident for the scheduler to
 // matter, so these scenarios scale the cache hierarchy down with the
@@ -166,8 +165,7 @@ std::vector<TenantSpec> four_tenants() {
 /// slowdown-vs-alone from per-tenant solo runs on the identical system.
 Json run_qos_mixed_tenants(const RunOptions& opts) {
   const std::vector<smc::SchedulerKind> policies = sweep_policies(
-      opts, {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kBliss,
-             smc::SchedulerKind::kAtlas, smc::SchedulerKind::kTcm});
+      opts, {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kAtlas});
   const std::vector<TenantSpec> tenants = four_tenants();
 
   struct Task {
@@ -240,9 +238,9 @@ Json run_qos_mixed_tenants(const RunOptions& opts) {
     std::cout << "\nExpected shape: FR-FCFS serves the copy tenants' row-hit\n"
                  "trains first, so the pointer chase (one dependent miss at a\n"
                  "time) eats the queueing delay — its slowdown and the\n"
-                 "max/min unfairness are the baseline's worst numbers. The\n"
-                 "QoS policies cap (BLISS), rank (ATLAS), or cluster (TCM)\n"
-                 "the hogs and pull the chase's tail latency back down.\n";
+                 "max/min unfairness are the baseline's worst numbers. ATLAS\n"
+                 "ranks the tenants by attained service, so the chase\n"
+                 "outranks the hogs: its p95 and the unfairness drop.\n";
   }
 
   Json out = Json::object();
@@ -278,22 +276,21 @@ std::vector<TenantSpec> scaling_tenants(std::size_t n) {
   return t;
 }
 
-/// Victim (pointer-chase) tail latency as the hog count grows, FR-FCFS vs
-/// BLISS. No solo baselines — the axis is the tenant count, and the
-/// per-stream mean spread stands in for fairness.
+/// Victim (pointer-chase) tail latency as the hog count grows, under one
+/// policy (FR-FCFS unless --sched forces another). No solo baselines — the
+/// axis is the tenant count, and the per-stream mean spread stands in for
+/// fairness.
 Json run_qos_tenant_scaling(const RunOptions& opts) {
-  const std::vector<smc::SchedulerKind> policies = sweep_policies(
-      opts, {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kBliss});
+  const smc::SchedulerKind policy =
+      sweep_policies(opts, {smc::SchedulerKind::kFrfcfs}).front();
   const std::size_t counts[] = {2, 4, 8};
 
-  const std::size_t per_rep = std::size(counts) * policies.size();
+  const std::size_t per_rep = std::size(counts);
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
   ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const std::size_t n = counts[which / policies.size()];
-    const smc::SchedulerKind policy = policies[which % policies.size()];
+    const std::size_t n = counts[task % per_rep];
     const sys::SystemConfig cfg =
         qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
     const smc::LinearMapper mapper(cfg.geometry);
@@ -307,53 +304,48 @@ Json run_qos_tenant_scaling(const RunOptions& opts) {
       {"Tenants", "Policy", "chase p95", "chase mean", "mean spread"});
   Json rows = Json::array();
   for (std::size_t ci = 0; ci < std::size(counts); ++ci) {
-    for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      const QosRun& r = all[ci * policies.size() + pi];
-      double lo = 0.0;
-      double hi = 0.0;
-      for (const StreamLatency& s : r.streams) {
-        if (s.mean <= 0.0) continue;
-        if (lo == 0.0 || s.mean < lo) lo = s.mean;
-        if (s.mean > hi) hi = s.mean;
-      }
-      const double spread = ratio(hi, lo);
-      table.add_row({std::to_string(counts[ci]), policy_name(policies[pi]),
-                     fmt_fixed(r.streams[0].p95, 0),
-                     fmt_fixed(r.streams[0].mean, 0), fmt_fixed(spread, 2)});
-      Json j = Json::object();
-      j["tenants"] = static_cast<std::int64_t>(counts[ci]);
-      j["policy"] = policy_name(policies[pi]);
-      j["sched"] = smc::to_string(policies[pi]);
-      j["victim_p95_cycles"] = r.streams[0].p95;
-      j["victim_mean_cycles"] = r.streams[0].mean;
-      j["stream_mean_spread"] = spread;
-      add_sched_counters(j, r.stats);
-      rows.push_back(std::move(j));
+    const QosRun& r = all[ci];
+    double lo = 0.0;
+    double hi = 0.0;
+    for (const StreamLatency& s : r.streams) {
+      if (s.mean <= 0.0) continue;
+      if (lo == 0.0 || s.mean < lo) lo = s.mean;
+      if (s.mean > hi) hi = s.mean;
     }
+    const double spread = ratio(hi, lo);
+    table.add_row({std::to_string(counts[ci]), policy_name(policy),
+                   fmt_fixed(r.streams[0].p95, 0),
+                   fmt_fixed(r.streams[0].mean, 0), fmt_fixed(spread, 2)});
+    Json j = Json::object();
+    j["tenants"] = static_cast<std::int64_t>(counts[ci]);
+    j["policy"] = policy_name(policy);
+    j["sched"] = smc::to_string(policy);
+    j["victim_p95_cycles"] = r.streams[0].p95;
+    j["victim_mean_cycles"] = r.streams[0].mean;
+    j["stream_mean_spread"] = spread;
+    add_sched_counters(j, r.stats);
+    rows.push_back(std::move(j));
   }
 
-  // Per-rep aggregate: victim p95 at the widest mix, last policy relative
-  // to first (BLISS / FR-FCFS by default; 1.0 for a forced single policy).
-  std::vector<double> tail_ratio;
+  // Per-rep aggregate: victim p95 at the widest mix over the narrowest.
+  std::vector<double> tail_growth;
   for (int rep = 0; rep < opts.iters; ++rep) {
-    const std::size_t base = static_cast<std::size_t>(rep) * per_rep +
-                             (std::size(counts) - 1) * policies.size();
-    tail_ratio.push_back(ratio(all[base + policies.size() - 1].streams[0].p95,
-                               all[base].streams[0].p95));
+    const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
+    tail_growth.push_back(ratio(all[base + per_rep - 1].streams[0].p95,
+                                all[base].streams[0].p95));
   }
 
   if (opts.verbose) {
     table.print(std::cout);
-    std::cout << "\nExpected shape: under FR-FCFS the victim's tail grows\n"
-                 "with every added hog (more row-hit trains to lose to);\n"
-                 "BLISS blacklists each hog after a bounded streak, so the\n"
-                 "victim's p95 grows far more slowly with the tenant count.\n";
+    std::cout << "\nExpected shape: the victim's p95 and mean grow with\n"
+                 "every added hog (more row-hit trains to lose to), and so\n"
+                 "does the spread of the per-stream means.\n";
   }
 
   Json out = Json::object();
   out["points"] = std::move(rows);
-  out["widest_tail_ratio_last_over_first_policy_per_rep"] =
-      rep_metric_json(tail_ratio);
+  out["victim_p95_widest_over_narrowest_per_rep"] =
+      rep_metric_json(tail_growth);
   return out;
 }
 
@@ -372,13 +364,13 @@ std::vector<TenantSpec> victim_adversary_tenants() {
 }
 
 /// Who pays for RowHammer mitigation in a multi-tenant mix: a chase victim
-/// against a hammer adversary, PARA off/on, FR-FCFS vs BLISS. PARA's
-/// targeted refreshes are triggered by the adversary's ACT storm but are
-/// served by the shared controller — the question is whether the victim's
-/// latency absorbs them.
+/// against a hammer adversary, PARA off/on, under one policy (FR-FCFS
+/// unless --sched forces another). PARA's targeted refreshes are triggered
+/// by the adversary's ACT storm but are served by the shared controller —
+/// the question is whether the victim's latency absorbs them.
 Json run_qos_mitigation(const RunOptions& opts) {
-  const std::vector<smc::SchedulerKind> policies = sweep_policies(
-      opts, {smc::SchedulerKind::kFrfcfs, smc::SchedulerKind::kBliss});
+  const smc::SchedulerKind policy =
+      sweep_policies(opts, {smc::SchedulerKind::kFrfcfs}).front();
   const std::vector<TenantSpec> tenants = victim_adversary_tenants();
   const bool para_points[] = {false, true};
 
@@ -386,14 +378,12 @@ Json run_qos_mitigation(const RunOptions& opts) {
     QosRun mixed;
     double victim_slowdown = 0.0;
   };
-  const std::size_t per_rep = std::size(para_points) * policies.size();
+  const std::size_t per_rep = std::size(para_points);
   const std::size_t n_tasks = static_cast<std::size_t>(opts.iters) * per_rep;
   ThreadPool pool(opts.threads);
   const auto all = parallel_map(pool, n_tasks, [&](std::size_t task) {
     const std::size_t rep = task / per_rep;
-    const std::size_t which = task % per_rep;
-    const bool para = para_points[which / policies.size()];
-    const smc::SchedulerKind policy = policies[which % policies.size()];
+    const bool para = para_points[task % per_rep];
     sys::SystemConfig cfg =
         qos_config(rep_seed(opts, static_cast<int>(rep)), policy);
     if (para) {
@@ -415,33 +405,30 @@ Json run_qos_mitigation(const RunOptions& opts) {
                     "adversary mean", "victim refreshes"});
   Json rows = Json::array();
   for (std::size_t mi = 0; mi < std::size(para_points); ++mi) {
-    for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      const Task& t = all[mi * policies.size() + pi];
-      table.add_row(
-          {para_points[mi] ? "PARA" : "none", policy_name(policies[pi]),
-           fmt_fixed(t.mixed.streams[0].p95, 0),
-           fmt_fixed(t.victim_slowdown, 2) + "x",
-           fmt_fixed(t.mixed.streams[1].mean, 0),
-           std::to_string(t.mixed.mitigation.neighbor_refreshes)});
-      Json j = Json::object();
-      j["mitigation"] = para_points[mi] ? "para" : "none";
-      j["policy"] = policy_name(policies[pi]);
-      j["sched"] = smc::to_string(policies[pi]);
-      j["victim"] = stream_json(tenants[0], t.mixed.streams[0],
-                                t.victim_slowdown);
-      j["adversary"] = stream_json(tenants[1], t.mixed.streams[1]);
-      j["neighbor_refreshes"] = t.mixed.mitigation.neighbor_refreshes;
-      j["mitigation_triggers"] = t.mixed.mitigation.triggers;
-      add_sched_counters(j, t.mixed.stats);
-      rows.push_back(std::move(j));
-    }
+    const Task& t = all[mi];
+    table.add_row({para_points[mi] ? "PARA" : "none", policy_name(policy),
+                   fmt_fixed(t.mixed.streams[0].p95, 0),
+                   fmt_fixed(t.victim_slowdown, 2) + "x",
+                   fmt_fixed(t.mixed.streams[1].mean, 0),
+                   std::to_string(t.mixed.mitigation.neighbor_refreshes)});
+    Json j = Json::object();
+    j["mitigation"] = para_points[mi] ? "para" : "none";
+    j["policy"] = policy_name(policy);
+    j["sched"] = smc::to_string(policy);
+    j["victim"] =
+        stream_json(tenants[0], t.mixed.streams[0], t.victim_slowdown);
+    j["adversary"] = stream_json(tenants[1], t.mixed.streams[1]);
+    j["neighbor_refreshes"] = t.mixed.mitigation.neighbor_refreshes;
+    j["mitigation_triggers"] = t.mixed.mitigation.triggers;
+    add_sched_counters(j, t.mixed.stats);
+    rows.push_back(std::move(j));
   }
 
   std::vector<double> para_tax;
   for (int rep = 0; rep < opts.iters; ++rep) {
     const std::size_t base = static_cast<std::size_t>(rep) * per_rep;
-    // Victim p95 with PARA over without, under the first policy.
-    para_tax.push_back(ratio(all[base + policies.size()].mixed.streams[0].p95,
+    // Victim p95 with PARA over without.
+    para_tax.push_back(ratio(all[base + 1].mixed.streams[0].p95,
                              all[base].mixed.streams[0].p95));
   }
 
@@ -449,10 +436,9 @@ Json run_qos_mitigation(const RunOptions& opts) {
     table.print(std::cout);
     std::cout << "\nExpected shape: the adversary's ACT storm triggers PARA's\n"
                  "targeted refreshes, which queue at the shared controller\n"
-                 "like any other work — the victim's tail absorbs part of\n"
-                 "that tax under FR-FCFS. A QoS policy that already bounds\n"
-                 "the adversary's service keeps the victim's p95 flatter\n"
-                 "when mitigation turns on.\n";
+                 "like any other work. The victim's slowdown vs running\n"
+                 "alone grows when mitigation turns on: its mean absorbs\n"
+                 "part of that tax (its p95 may not move).\n";
   }
 
   Json out = Json::object();
@@ -561,11 +547,11 @@ void register_qos_scenarios(ScenarioRegistry& r) {
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
          &run_qos_mixed_tenants});
   r.add({"qos_tenant_scaling",
-         "Victim tail latency at 2/4/8 tenants, FR-FCFS vs BLISS",
+         "Victim tail latency at 2/4/8 tenants under FR-FCFS",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
          &run_qos_tenant_scaling});
   r.add({"qos_mitigation",
-         "Chase victim vs hammer adversary with PARA off/on per policy",
+         "Chase victim vs hammer adversary with PARA off/on",
          "EasyDRAM (DSN 2025), extension: multi-tenant QoS",
          &run_qos_mitigation});
   r.add({"qos_bank_partition",

@@ -237,7 +237,8 @@ void register_rowclone_scenarios(ScenarioRegistry& r) {
          "EasyDRAM (DSN 2025), Fig. 11", &run_fig11});
   r.add({"ablation_rowclone_interleaving",
          "RowClone bank interleaving vs sequential allocation (2 MiB copy)",
-         "DESIGN.md ablation A4 (beyond the paper)", &run_interleaving});
+         "EasyDRAM (DSN 2025), extension: RowClone allocation ablation",
+         &run_interleaving});
 }
 
 }  // namespace easydram::cli

@@ -1,11 +1,9 @@
 // Validation and ablation scenarios: the §6 time-scaling validation study
-// and the DESIGN.md ablations (row-batch draining, scheduling policy,
-// software vs hardware memory controller).
+// and three ablations beyond the paper (row-batch draining, scheduling
+// policy, software vs hardware memory controller).
 
 #include <cmath>
-#include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,33 +169,15 @@ Json run_batch_limit(const RunOptions& opts) {
 // --- ablation_scheduler ---------------------------------------------------
 
 Json run_scheduler(const RunOptions& opts) {
-  struct Policy {
-    const char* name;
-    std::unique_ptr<smc::Scheduler> (*make)();
-  };
-  static constexpr Policy kPolicies[] = {
-      {"FCFS",
-       [] { return std::unique_ptr<smc::Scheduler>(new smc::FcfsScheduler()); }},
-      {"FR-FCFS",
-       [] {
-         return std::unique_ptr<smc::Scheduler>(new smc::FrfcfsScheduler());
-       }},
-      {"PAR-BS(8)",
-       [] {
-         return std::unique_ptr<smc::Scheduler>(new smc::BatchScheduler(8));
-       }},
-      {"BLISS(4)",
-       [] {
-         return std::unique_ptr<smc::Scheduler>(new smc::BlacklistScheduler(4));
-       }},
-  };
+  constexpr smc::SchedulerKind kPolicies[] = {smc::SchedulerKind::kFcfs,
+                                              smc::SchedulerKind::kFrfcfs};
   const std::size_t n = std::size(kPolicies);
   ThreadPool pool(opts.threads);
   const auto all = parallel_map(
       pool, static_cast<std::size_t>(opts.iters) * n, [&](std::size_t task) {
         sys::SystemConfig cfg = sys::jetson_nano_time_scaling();
         cfg.variation.seed = rep_seed(opts, static_cast<int>(task / n));
-        cfg.scheduler_factory = kPolicies[task % n].make;
+        cfg.sched = kPolicies[task % n];
         return run_kernel_cycles(cfg, "mvt").count;
       });
 
@@ -205,9 +185,10 @@ Json run_scheduler(const RunOptions& opts) {
   t.set_header({"policy", "cycles"});
   Json rows = Json::array();
   for (std::size_t i = 0; i < n; ++i) {
-    t.add_row({kPolicies[i].name, std::to_string(all[i])});
+    const std::string name(smc::make_scheduler(kPolicies[i])->name());
+    t.add_row({name, std::to_string(all[i])});
     Json j = Json::object();
-    j["policy"] = kPolicies[i].name;
+    j["policy"] = name;
     j["cycles"] = all[i];
     rows.push_back(std::move(j));
   }
@@ -279,13 +260,16 @@ void register_validation_scenarios(ScenarioRegistry& r) {
          "EasyDRAM (DSN 2025), Section 6", &run_validation});
   r.add({"ablation_batch_limit",
          "Row-hit batch draining limit sweep (gesummv cycles)",
-         "DESIGN.md ablation A1 (beyond the paper)", &run_batch_limit});
+         "EasyDRAM (DSN 2025), extension: row-batch limit ablation",
+         &run_batch_limit});
   r.add({"ablation_scheduler",
-         "Scheduling policy comparison: FCFS/FR-FCFS/PAR-BS/BLISS (mvt)",
-         "DESIGN.md ablation A2 (beyond the paper)", &run_scheduler});
+         "Scheduling policy comparison: FCFS vs FR-FCFS (mvt)",
+         "EasyDRAM (DSN 2025), extension: scheduling policy ablation",
+         &run_scheduler});
   r.add({"ablation_hardware_mc",
          "Software vs fixed-function hardware memory controller (trisolv)",
-         "DESIGN.md ablation A3 (beyond the paper)", &run_hardware_mc});
+         "EasyDRAM (DSN 2025), extension: hardware controller ablation",
+         &run_hardware_mc});
 }
 
 }  // namespace easydram::cli

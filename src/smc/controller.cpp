@@ -37,7 +37,6 @@ bool MemoryController::step(EasyApi& api) {
     entry.dram_addr = api.get_addr_mapping(req.paddr);
     entry.request = std::move(req);
     api.charge(api.tile().meter().costs().table_insert);
-    streams_.note_arrival(entry.request.stream_id);
     table_.insert(std::move(entry));
     worked = true;
   }

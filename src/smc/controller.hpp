@@ -80,10 +80,6 @@ class MemoryController final : public Controller, public ActSink {
   /// Non-owning: the map must outlive the controller.
   void set_clonable(const RowCloneMap* clonable) { clonable_ = clonable; }
 
-  /// Per-stream arrival/service bookkeeping (fed to stream-aware
-  /// schedulers through PickContext).
-  const StreamTable& streams() const { return streams_; }
-
   /// Installed mitigation policy, if any (owned by the caller; the
   /// system layer aggregates its stats across channels).
   const mitigation::RowHammerMitigator* mitigator() const {
@@ -127,8 +123,7 @@ class MemoryController final : public Controller, public ActSink {
   const BloomFilter* weak_rows_ = nullptr;
   const RowCloneMap* clonable_ = nullptr;
   RequestTable table_;
-  /// Per-stream arrival and attained-service counters; ATLAS/TCM/BLISS
-  /// consult them via PickContext.
+  /// Per-stream attained service; ATLAS consults it via PickContext.
   StreamTable streams_;
   /// Scratch for serve_column_batch, reused across batches so the hot
   /// path never allocates.

@@ -15,34 +15,15 @@ std::optional<std::size_t> FcfsScheduler::pick(const PickContext& ctx,
 
 namespace {
 
-/// Oldest row-buffer-hit entry among those with arrival_seq < limit, else
-/// the oldest such entry; kNoLimit disables the age cut.
-constexpr std::uint64_t kNoLimit = ~0ull;
-
 bool is_row_hit(const BankStateView& banks, const dram::DramAddress& a) {
   const auto open = banks.open_row(a);
   return open.has_value() && *open == a.row;
 }
 
-std::optional<std::size_t> frfcfs_pick_below(const RequestTable& table,
-                                             const BankStateView& banks,
-                                             std::uint64_t seq_limit) {
-  // Traversal is oldest-first, so the first in-limit entry is the oldest
-  // and the first row hit found is the oldest row hit; entries at or past
-  // the limit form a suffix of the list and end the walk.
-  std::optional<std::size_t> oldest;
-  for (std::size_t s = table.first(); s != RequestTable::kNull;
-       s = table.next(s)) {
-    const TableEntry& e = table.at(s);
-    if (e.arrival_seq >= seq_limit) break;
-    if (!oldest) oldest = s;
-    if (is_row_hit(banks, e.dram_addr)) return s;
-  }
-  return oldest;
-}
-
 /// FR-FCFS restricted to entries whose stream satisfies `pred`: the oldest
 /// row hit among them, else the oldest; nullopt when no entry qualifies.
+/// Traversal is oldest-first, so the first qualifying entry is the oldest
+/// and the first row hit found is the oldest row hit.
 template <typename StreamPredicate>
 std::optional<std::size_t> frfcfs_pick_if(const RequestTable& table,
                                           const BankStateView& banks,
@@ -56,6 +37,11 @@ std::optional<std::size_t> frfcfs_pick_if(const RequestTable& table,
     if (is_row_hit(banks, e.dram_addr)) return s;
   }
   return oldest;
+}
+
+std::optional<std::size_t> frfcfs_pick(const RequestTable& table,
+                                       const BankStateView& banks) {
+  return frfcfs_pick_if(table, banks, [](std::uint32_t) { return true; });
 }
 
 /// Distinct stream ids outstanding in `table`, ascending. The table is
@@ -77,110 +63,14 @@ std::optional<std::size_t> FrfcfsScheduler::pick(const PickContext& ctx,
                                                  std::size_t& scanned_entries) {
   scanned_entries = ctx.table.size();
   if (ctx.table.empty()) return std::nullopt;
-  return frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-}
-
-BatchScheduler::BatchScheduler(std::size_t batch_size) : batch_size_(batch_size) {
-  EASYDRAM_EXPECTS(batch_size > 0);
-}
-
-std::optional<std::size_t> BatchScheduler::pick(const PickContext& ctx,
-                                                std::size_t& scanned_entries) {
-  const RequestTable& table = ctx.table;
-  scanned_entries = table.size();
-  if (table.empty()) return std::nullopt;
-
-  // Serve FR-FCFS *within* the current batch; open a new batch only when
-  // the current one is fully drained.
-  auto in_batch = frfcfs_pick_below(table, ctx.banks, batch_boundary_);
-  if (!in_batch) {
-    // Current batch drained: the next batch covers the next batch_size_
-    // arrivals starting from the oldest outstanding request.
-    batch_boundary_ = table.at(table.first()).arrival_seq + batch_size_;
-    in_batch = frfcfs_pick_below(table, ctx.banks, batch_boundary_);
-  }
-  return in_batch;
-}
-
-BlacklistScheduler::BlacklistScheduler(int streak_limit,
-                                       std::uint64_t clear_interval)
-    : streak_limit_(streak_limit), clear_interval_(clear_interval) {
-  EASYDRAM_EXPECTS(streak_limit > 0);
-  EASYDRAM_EXPECTS(clear_interval > 0);
-}
-
-std::optional<std::size_t> BlacklistScheduler::pick(
-    const PickContext& ctx, std::size_t& scanned_entries) {
-  scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
-
-  // Per-stream blacklisting needs at least two streams to arbitrate
-  // between; a single-stream table uses the original bounded-row-streak
-  // simplification so legacy single-source traffic sees identical
-  // decisions.
-  if (distinct_streams(ctx.table).size() >= 2) return pick_multi_stream(ctx);
-  return pick_single_source(ctx);
-}
-
-std::optional<std::size_t> BlacklistScheduler::pick_single_source(
-    const PickContext& ctx) {
-  std::optional<std::size_t> choice;
-  if (row_streak_ < streak_limit_) {
-    choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-  } else {
-    // Streak limit reached: break it with the oldest request.
-    choice = ctx.table.first();
-  }
-
-  const std::uint64_t row_key = dram::row_key(ctx.table.at(*choice).dram_addr);
-  row_streak_ = has_last_row_ && row_key == last_row_key_ ? row_streak_ + 1 : 1;
-  has_last_row_ = true;
-  last_row_key_ = row_key;
-  return choice;
-}
-
-std::optional<std::size_t> BlacklistScheduler::pick_multi_stream(
-    const PickContext& ctx) {
-  // Clearing interval: periodically forgive everyone so a blacklisted
-  // stream is not starved forever (counted in picks, not cycles, to stay
-  // invariant under time scaling).
-  if (picks_since_clear_ >= clear_interval_) {
-    std::fill(blacklist_.begin(), blacklist_.end(), false);
-    picks_since_clear_ = 0;
-    stream_streak_ = 0;
-    has_last_stream_ = false;
-  }
-
-  // Non-blacklisted requests outrank blacklisted ones; within a rank class
-  // FR-FCFS applies. When every outstanding stream is blacklisted there is
-  // nothing to protect, so plain FR-FCFS decides.
-  auto choice = frfcfs_pick_if(ctx.table, ctx.banks, [this](std::uint32_t s) {
-    return !blacklisted(s);
-  });
-  if (!choice) choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-
-  const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
-  stream_streak_ =
-      has_last_stream_ && stream == last_stream_ ? stream_streak_ + 1 : 1;
-  has_last_stream_ = true;
-  last_stream_ = stream;
-  if (stream_streak_ >= streak_limit_) {
-    if (stream >= blacklist_.size()) blacklist_.resize(stream + 1, false);
-    blacklist_[stream] = true;
-    stream_streak_ = 0;
-    has_last_stream_ = false;
-  }
-  ++picks_since_clear_;
-  return choice;
+  return frfcfs_pick(ctx.table, ctx.banks);
 }
 
 std::optional<std::size_t> AtlasScheduler::pick(const PickContext& ctx,
                                                 std::size_t& scanned_entries) {
   scanned_entries = ctx.table.size();
   if (ctx.table.empty()) return std::nullopt;
-  if (ctx.streams == nullptr) {
-    return frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-  }
+  if (ctx.streams == nullptr) return frfcfs_pick(ctx.table, ctx.banks);
 
   // Rank outstanding streams by long-term attained service, least first
   // (ties to the lower stream id), and serve FR-FCFS within the winner.
@@ -198,79 +88,18 @@ std::optional<std::size_t> AtlasScheduler::pick(const PickContext& ctx,
                         [best](std::uint32_t s) { return s == best; });
 }
 
-TcmScheduler::TcmScheduler(std::uint64_t window_size)
-    : window_size_(window_size) {
-  EASYDRAM_EXPECTS(window_size > 0);
-}
-
-void TcmScheduler::roll_window() {
-  // Classify by served share over the closing window: streams above the
-  // fair share (window / active streams) join the bandwidth-heavy cluster,
-  // everyone else is latency-sensitive. A lone stream can never exceed its
-  // own fair share, so single-stream traffic stays latency-classified and
-  // the policy degenerates to plain FR-FCFS.
-  std::uint64_t active = 0;
-  for (const std::uint64_t served : served_in_window_) {
-    if (served > 0) ++active;
-  }
-  bandwidth_.assign(served_in_window_.size(), false);
-  if (active > 0) {
-    const std::uint64_t fair_share = picks_in_window_ / active;
-    for (std::size_t s = 0; s < served_in_window_.size(); ++s) {
-      bandwidth_[s] = served_in_window_[s] > fair_share;
-    }
-  }
-  std::fill(served_in_window_.begin(), served_in_window_.end(), 0);
-  picks_in_window_ = 0;
-  ++shuffle_offset_;  // Rotate which bandwidth hog goes first next window.
-}
-
-std::optional<std::size_t> TcmScheduler::pick(const PickContext& ctx,
-                                              std::size_t& scanned_entries) {
-  scanned_entries = ctx.table.size();
-  if (ctx.table.empty()) return std::nullopt;
-  if (picks_in_window_ >= window_size_) roll_window();
-
-  // Latency cluster strictly first.
-  auto choice = frfcfs_pick_if(ctx.table, ctx.banks, [this](std::uint32_t s) {
-    return !bandwidth_cluster(s);
-  });
-  if (!choice) {
-    // Only bandwidth-heavy streams outstanding: the shuffle offset picks
-    // which of them owns top priority this window.
-    const std::vector<std::uint32_t> present = distinct_streams(ctx.table);
-    const std::uint32_t first =
-        present[static_cast<std::size_t>(shuffle_offset_ % present.size())];
-    choice = frfcfs_pick_if(ctx.table, ctx.banks,
-                            [first](std::uint32_t s) { return s == first; });
-    if (!choice) choice = frfcfs_pick_below(ctx.table, ctx.banks, kNoLimit);
-  }
-
-  const std::uint32_t stream = ctx.table.at(*choice).request.stream_id;
-  if (stream >= served_in_window_.size()) {
-    served_in_window_.resize(stream + 1, 0);
-  }
-  ++served_in_window_[stream];
-  ++picks_in_window_;
-  return choice;
-}
-
 std::string_view to_string(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kFcfs: return "fcfs";
     case SchedulerKind::kFrfcfs: return "frfcfs";
-    case SchedulerKind::kParbs: return "parbs";
-    case SchedulerKind::kBliss: return "bliss";
     case SchedulerKind::kAtlas: return "atlas";
-    case SchedulerKind::kTcm: return "tcm";
   }
   return "?";
 }
 
 std::optional<SchedulerKind> parse_scheduler(std::string_view token) {
   for (const SchedulerKind kind :
-       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kParbs,
-        SchedulerKind::kBliss, SchedulerKind::kAtlas, SchedulerKind::kTcm}) {
+       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kAtlas}) {
     if (token == to_string(kind)) return kind;
   }
   return std::nullopt;
@@ -280,10 +109,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kFcfs: return std::make_unique<FcfsScheduler>();
     case SchedulerKind::kFrfcfs: return std::make_unique<FrfcfsScheduler>();
-    case SchedulerKind::kParbs: return std::make_unique<BatchScheduler>();
-    case SchedulerKind::kBliss: return std::make_unique<BlacklistScheduler>();
     case SchedulerKind::kAtlas: return std::make_unique<AtlasScheduler>();
-    case SchedulerKind::kTcm: return std::make_unique<TcmScheduler>();
   }
   return std::make_unique<FrfcfsScheduler>();
 }

@@ -12,51 +12,25 @@
 
 namespace easydram::smc {
 
-/// Per-stream service bookkeeping the controller maintains alongside the
-/// request table. Streams are dense small integers (tenant ids); the table
-/// grows on first sight of a stream and is never trimmed, so accumulated
-/// service survives idle phases — exactly what ATLAS-style long-term
-/// ranking needs.
+/// Per-stream attained service (served requests) the controller maintains
+/// alongside the request table. Streams are dense small integers (tenant
+/// ids); the table grows on first sight of a stream and is never trimmed,
+/// so accumulated service survives idle phases — exactly what ATLAS-style
+/// long-term ranking needs.
 class StreamTable {
  public:
-  void note_arrival(std::uint32_t stream) { ++grow(stream).arrivals; }
-
-  /// Records `amount` units of attained service (served requests) for
-  /// `stream`.
   void note_service(std::uint32_t stream, std::uint64_t amount = 1) {
-    Entry& e = grow(stream);
-    e.served += amount;
-    e.attained_service += amount;
+    if (stream >= attained_.size()) attained_.resize(stream + 1);
+    attained_[stream] += amount;
   }
 
-  std::uint64_t arrivals(std::uint32_t stream) const {
-    return stream < entries_.size() ? entries_[stream].arrivals : 0;
-  }
-  std::uint64_t served(std::uint32_t stream) const {
-    return stream < entries_.size() ? entries_[stream].served : 0;
-  }
+  /// Zero for a stream never served.
   std::uint64_t attained_service(std::uint32_t stream) const {
-    return stream < entries_.size() ? entries_[stream].attained_service : 0;
+    return stream < attained_.size() ? attained_[stream] : 0;
   }
-
-  /// One past the highest stream id observed so far.
-  std::size_t size() const { return entries_.size(); }
-
-  void clear() { entries_.clear(); }
 
  private:
-  struct Entry {
-    std::uint64_t arrivals = 0;
-    std::uint64_t served = 0;
-    std::uint64_t attained_service = 0;
-  };
-
-  Entry& grow(std::uint32_t stream) {
-    if (stream >= entries_.size()) entries_.resize(stream + 1);
-    return entries_[stream];
-  }
-
-  std::vector<Entry> entries_;
+  std::vector<std::uint64_t> attained_;
 };
 
 /// Everything a scheduling policy may consult for one decision, bundled so
@@ -75,11 +49,11 @@ struct PickContext {
 /// an empty table. `scanned_entries` reports how many table entries the
 /// policy examined so the cycle meter can charge a realistic software cost.
 ///
-/// `pick` is non-const on purpose: stateful policies (PAR-BS batch
-/// boundaries, BLISS streaks/blacklists, TCM cluster windows) update their
-/// bookkeeping as part of the decision, exactly like their
-/// software-memory-controller implementations. Row-hit comparisons must key
-/// on the full (channel, rank, bank) bank coordinate — see dram::row_key.
+/// `pick` is non-const on purpose: a policy supplied through
+/// `SystemConfig::scheduler_factory` may update its own bookkeeping as part
+/// of the decision, exactly like a software-memory-controller
+/// implementation. Row-hit comparisons must key on the full (channel, rank,
+/// bank) bank coordinate — see dram::row_key.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -105,77 +79,6 @@ class FrfcfsScheduler final : public Scheduler {
   std::string_view name() const override { return "FR-FCFS"; }
 };
 
-/// PAR-BS-style batch scheduler (Mutlu & Moscibroda, ISCA'08, simplified):
-/// requests are grouped into arrival batches of `batch_size`; the current
-/// batch is fully served (row hits first within it) before any younger
-/// request, bounding worst-case queueing delay. Because batch membership is
-/// pure arrival order, no stream can starve another across a batch boundary
-/// — the fairness property test_qos.cpp pins.
-class BatchScheduler final : public Scheduler {
- public:
-  explicit BatchScheduler(std::size_t batch_size = 8);
-
-  std::optional<std::size_t> pick(const PickContext& ctx,
-                                  std::size_t& scanned_entries) override;
-  std::string_view name() const override { return "PAR-BS"; }
-
- private:
-  std::size_t batch_size_;
-  std::uint64_t batch_boundary_ = 0;  ///< First seq of the next batch.
-};
-
-/// BLISS-style blacklisting scheduler (Subramanian et al., ICCD'14).
-///
-/// With two or more distinct streams outstanding, the policy blacklists a
-/// stream after `streak_limit` consecutive picks served from it; while
-/// blacklisted, a stream's requests lose FR-FCFS priority to every
-/// non-blacklisted request, restoring fairness at near-FR-FCFS throughput.
-/// Blacklists clear every `clear_interval` picks (the paper's clearing
-/// interval, counted in scheduling decisions rather than cycles so the
-/// behavior is identical at any time-scaling factor).
-///
-/// With a single stream (or no stream metadata) there is nobody to favor
-/// over the hog, so the policy falls back to the original single-source
-/// simplification: a *row-hit streak* longer than `streak_limit` is broken
-/// by serving the oldest request. Single-stream decisions are bit-identical
-/// to the pre-stream-identity implementation, which the golden scenario
-/// hashes pin.
-class BlacklistScheduler final : public Scheduler {
- public:
-  explicit BlacklistScheduler(int streak_limit = 4,
-                              std::uint64_t clear_interval = 128);
-
-  std::optional<std::size_t> pick(const PickContext& ctx,
-                                  std::size_t& scanned_entries) override;
-  std::string_view name() const override { return "BLISS"; }
-
-  /// Whether `stream` is currently blacklisted (test/diagnostic hook).
-  bool blacklisted(std::uint32_t stream) const {
-    return stream < blacklist_.size() && blacklist_[stream];
-  }
-
- private:
-  std::optional<std::size_t> pick_single_source(const PickContext& ctx);
-  std::optional<std::size_t> pick_multi_stream(const PickContext& ctx);
-
-  int streak_limit_;
-  std::uint64_t clear_interval_;
-
-  // Single-source mode: bounded row-hit streak. `has_last_row_` (not a
-  // row-key sentinel) marks "no previous pick" so a legitimate row key —
-  // including ~0 — can never alias it.
-  int row_streak_ = 0;
-  bool has_last_row_ = false;
-  std::uint64_t last_row_key_ = 0;
-
-  // Multi-stream mode: per-stream serve streaks and blacklist flags.
-  int stream_streak_ = 0;
-  bool has_last_stream_ = false;
-  std::uint32_t last_stream_ = 0;
-  std::uint64_t picks_since_clear_ = 0;
-  std::vector<bool> blacklist_;
-};
-
 /// ATLAS-style scheduler (Kim et al., HPCA'10, simplified): streams are
 /// ranked by long-term attained service (least attained service first, ties
 /// to the lower stream id), and the scheduler serves FR-FCFS within the
@@ -190,57 +93,21 @@ class AtlasScheduler final : public Scheduler {
   std::string_view name() const override { return "ATLAS"; }
 };
 
-/// TCM-style scheduler (Kim et al., MICRO'10, simplified): every
-/// `window_size` picks, streams are classified by their served-request
-/// share over the window into a latency-sensitive cluster (at or below the
-/// fair share) and a bandwidth-heavy cluster (above it). Latency-cluster
-/// requests strictly outrank bandwidth-cluster requests; within the
-/// bandwidth cluster a rotating priority offset (the paper's "insertion
-/// shuffle") rotates which hog goes first each window so hogs interfere
-/// with each other fairly. FR-FCFS orders requests within a cluster.
-class TcmScheduler final : public Scheduler {
- public:
-  explicit TcmScheduler(std::uint64_t window_size = 64);
-
-  std::optional<std::size_t> pick(const PickContext& ctx,
-                                  std::size_t& scanned_entries) override;
-  std::string_view name() const override { return "TCM"; }
-
-  /// Whether `stream` is currently in the bandwidth-heavy cluster
-  /// (test/diagnostic hook).
-  bool bandwidth_cluster(std::uint32_t stream) const {
-    return stream < bandwidth_.size() && bandwidth_[stream];
-  }
-
- private:
-  void roll_window();
-
-  std::uint64_t window_size_;
-  std::uint64_t picks_in_window_ = 0;
-  std::uint64_t shuffle_offset_ = 0;
-  std::vector<std::uint64_t> served_in_window_;
-  std::vector<bool> bandwidth_;
-};
-
 /// Registry of the built-in scheduling policies, addressable from
 /// `SystemConfig` and the CLI's `--sched` flag. kFrfcfs is the default.
 enum class SchedulerKind : std::uint8_t {
   kFcfs,
   kFrfcfs,
-  kParbs,
-  kBliss,
   kAtlas,
-  kTcm,
 };
 
-/// CLI token for `kind` ("fcfs", "frfcfs", "parbs", "bliss", "atlas",
-/// "tcm").
+/// CLI token for `kind` ("fcfs", "frfcfs", "atlas").
 std::string_view to_string(SchedulerKind kind);
 
 /// Parses a CLI token into a SchedulerKind; nullopt for unknown tokens.
 std::optional<SchedulerKind> parse_scheduler(std::string_view token);
 
-/// Instantiates `kind` with its default parameters.
+/// Instantiates `kind`.
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind);
 
 }  // namespace easydram::smc

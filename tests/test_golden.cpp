@@ -56,10 +56,10 @@ struct GoldenEntry {
 /// RunOptions (seed 0x5AFA2125, iters 1, threads 1) — the same document
 /// `easydram_cli --scenario NAME --quiet --out f.json` writes.
 constexpr GoldenEntry kGolden[] = {
-    {"ablation_batch_limit", 0x5FC0FED93B35E488ull},
-    {"ablation_hardware_mc", 0x06B091933B0004DAull},
-    {"ablation_rowclone_interleaving", 0xDDF09E5AFE864175ull},
-    {"ablation_scheduler", 0x02ED3E8BFA40DBE3ull},
+    {"ablation_batch_limit", 0xF3912E8F67B4C61Eull},
+    {"ablation_hardware_mc", 0x0C665225E5291A1Cull},
+    {"ablation_rowclone_interleaving", 0x8A71D2EC7FB6D60Bull},
+    {"ablation_scheduler", 0x846714D7E96158B1ull},
     {"channel_scaling", 0xC91348487B0729C2ull},
     {"ecc_vs_hammer", 0x22933A1122B58EAEull},
     {"fault_sweep", 0xAFBC440AD7F11E97ull},
@@ -72,9 +72,9 @@ constexpr GoldenEntry kGolden[] = {
     {"latency_sweep", 0xA62476266726E912ull},
     {"mitigation_overhead", 0x44FF6F4B882509B9ull},
     {"qos_bank_partition", 0xC6CC1895D784AB1Aull},
-    {"qos_mitigation", 0xED42D1BBCB2C9035ull},
-    {"qos_mixed_tenants", 0xE834B07DB32CA8F6ull},
-    {"qos_tenant_scaling", 0xFD316D25A77D8CACull},
+    {"qos_mitigation", 0x54C9C48E590C3CDEull},
+    {"qos_mixed_tenants", 0xD25AD07B22F6B0D9ull},
+    {"qos_tenant_scaling", 0xA223E1920C14B771ull},
     {"quickstart", 0x030BF38B297270D9ull},
     {"raidr_baseline", 0xF41CB380C1C0612Cull},
     {"raidr_misbinning", 0xEB18E22701594F4Eull},
@@ -220,6 +220,9 @@ TEST(CliArgsTest, BadInputExitsWithUsageError) {
       {"--channels", "65"},
       {"--sched", "nope"},
       {"--sched", "auto", "--scenario", "quickstart"},  // Removed token.
+      {"--sched", "bliss", "--scenario", "quickstart"},  // Removed token.
+      {"--sched", "parbs", "--scenario", "quickstart"},  // Removed token.
+      {"--sched", "tcm", "--scenario", "quickstart"},    // Removed token.
       {"--iters"},
       {"--scenario", "nosuch"},
       {"--seed", "-5", "--scenario", "quickstart"},  // Would wrap.
@@ -256,6 +259,46 @@ TEST(CliArgsTest, SeedAcceptsTheFullSignedRange) {
   std::remove(out.c_str());
   EXPECT_NE(doc.find("\"seed\": 9223372036854775807"), std::string::npos)
       << doc;
+}
+
+/// A derived per-rep seed is a valid reproducer: it is in the range
+/// `--seed` accepts, and running it as the base seed of a one-rep run
+/// yields the same row.
+TEST(CliArgsTest, PerRepSeedReproducesItsRow) {
+  const Scenario* s = ScenarioRegistry::instance().find("quickstart");
+  ASSERT_NE(s, nullptr);
+  RunOptions opts;
+  opts.verbose = false;
+  opts.iters = 3;
+  const Json three = run_scenario(*s, opts);
+  const Json& reps = three.at("results").at("reps");
+  ASSERT_EQ(reps.size(), 3u);
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    EXPECT_GE(reps.at(i).at("seed").as_int(), 0) << "rep " << i;
+  }
+
+  const std::string seed = std::to_string(reps.at(2).at("seed").as_int());
+  const std::string out = testing::TempDir() + "cli_rep_seed.json";
+  std::vector<std::string> storage{"easydram_cli", "--quiet",  "--seed",
+                                   seed,           "--iters",  "1",
+                                   "--scenario",   "quickstart", "--out",
+                                   out};
+  std::vector<char*> argv;
+  for (std::string& a : storage) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ASSERT_EQ(scenario_main(static_cast<int>(storage.size()), argv.data()), 0)
+      << "--seed " << seed << " rejected";
+  std::ifstream in(out);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::remove(out.c_str());
+
+  opts.seed = std::stoull(seed);
+  opts.iters = 1;
+  const Json one = run_scenario(*s, opts);
+  EXPECT_EQ(doc, one.dump_string());
+  EXPECT_EQ(one.at("results").at("reps").at(0).dump_string(),
+            reps.at(2).dump_string());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Multi-tenant QoS: stream identity end-to-end, the stream-aware scheduler
-// family (PAR-BS / BLISS / ATLAS / TCM), static bank partitioning, and the
-// mixed-tenant trace builder. Companion of docs/ARCHITECTURE.md's "QoS &
-// multi-tenant traffic" chapter.
+// Multi-tenant QoS: stream identity end-to-end, the ATLAS-style
+// stream-aware scheduler, static bank partitioning, the mixed-tenant trace
+// builder, and the scenario numbers that justify keeping ATLAS and
+// bankpart. Companion of docs/ARCHITECTURE.md's "QoS & multi-tenant
+// traffic" chapter.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "cli/scenario.hpp"
 #include "common/contracts.hpp"
 #include "smc/addr_map.hpp"
 #include "smc/request_table.hpp"
@@ -22,7 +24,6 @@ namespace easydram {
 namespace {
 
 using smc::BankStateView;
-using smc::BlacklistScheduler;
 using smc::PickContext;
 using smc::RequestTable;
 using smc::StreamTable;
@@ -63,144 +64,12 @@ AddrBanks open_row_banks(std::uint32_t bank, std::uint32_t row) {
 
 TEST(StreamTableTest, GrowsOnDemandAndAccumulates) {
   StreamTable st;
-  EXPECT_EQ(st.size(), 0u);
-  EXPECT_EQ(st.arrivals(7), 0u);  // Unknown streams read as zero.
-  st.note_arrival(2);
+  EXPECT_EQ(st.attained_service(7), 0u);  // Unknown streams read as zero.
   st.note_service(2);
   st.note_service(2, 3);
-  EXPECT_EQ(st.size(), 3u);
-  EXPECT_EQ(st.arrivals(2), 1u);
-  EXPECT_EQ(st.served(2), 4u);
   EXPECT_EQ(st.attained_service(2), 4u);
-  EXPECT_EQ(st.served(0), 0u);
-  st.clear();
-  EXPECT_EQ(st.size(), 0u);
-}
-
-// --------------------------------------------------------------------------
-// PAR-BS: batch boundaries are stream-blind, so no stream can starve
-// another past one batch.
-// --------------------------------------------------------------------------
-
-TEST(QosSchedulerTest, ParbsServesStarvedStreamWithinItsBatch) {
-  RequestTable t(16);
-  t.insert(entry(0, 0, 99));                                // Miss, seq 0.
-  for (int i = 0; i < 10; ++i) t.insert(entry(1, 1, 20));   // Hit train.
-  AddrBanks banks = open_row_banks(1, 20);
-  smc::BatchScheduler parbs(4);
-  std::size_t scanned = 0;
-
-  // Drain until stream 0's request is served; everything served before it
-  // must belong to its own batch (arrival_seq < 4) — the hog's younger
-  // row hits cannot jump the boundary.
-  std::vector<std::uint64_t> served_before;
-  for (int i = 0; i < 11; ++i) {
-    const auto pick = parbs.pick({t, banks}, scanned).value();
-    const TableEntry& e = t.at(pick);
-    if (e.request.stream_id == 0) break;
-    served_before.push_back(e.arrival_seq);
-    t.remove(pick);
-  }
-  ASSERT_LT(served_before.size(), 10u);  // It was served eventually.
-  for (const std::uint64_t seq : served_before) EXPECT_LT(seq, 4u);
-}
-
-// --------------------------------------------------------------------------
-// BLISS: per-stream blacklisting with >= 2 streams outstanding.
-// --------------------------------------------------------------------------
-
-TEST(QosSchedulerTest, BlissBlacklistsHogStreamAfterStreak) {
-  RequestTable t(16);
-  t.insert(entry(0, 0, 99));                                // Victim miss.
-  for (int i = 0; i < 10; ++i) t.insert(entry(1, 1, 20));   // Hog hits.
-  AddrBanks banks = open_row_banks(1, 20);
-  BlacklistScheduler bliss(3);
-  std::size_t scanned = 0;
-
-  int hog_picks_before_victim = 0;
-  for (int i = 0; i < 11; ++i) {
-    const auto pick = bliss.pick({t, banks}, scanned).value();
-    if (t.at(pick).request.stream_id == 0) break;
-    t.remove(pick);
-    ++hog_picks_before_victim;
-  }
-  // The hog's streak is capped at the limit, at which point it is
-  // blacklisted and the victim's older miss outranks its row hits.
-  EXPECT_LE(hog_picks_before_victim, 3);
-  EXPECT_TRUE(bliss.blacklisted(1));
-  EXPECT_FALSE(bliss.blacklisted(0));
-}
-
-TEST(QosSchedulerTest, BlissBlacklistClearsAfterInterval) {
-  AddrBanks banks = open_row_banks(1, 20);
-  BlacklistScheduler bliss(/*streak_limit=*/2, /*clear_interval=*/4);
-  std::size_t scanned = 0;
-
-  // Keep both streams outstanding forever: each pick is served and an
-  // identical request re-queued.
-  RequestTable t(16);
-  for (int i = 0; i < 4; ++i) {
-    t.insert(entry(1, 1, 20));  // Hog: row hits.
-    t.insert(entry(0, 0, 7));   // Victim: misses.
-  }
-  auto step = [&] {
-    const auto pick = bliss.pick({t, banks}, scanned).value();
-    const TableEntry e = t.remove(pick);
-    t.insert(entry(e.request.stream_id, e.dram_addr.bank, e.dram_addr.row));
-  };
-  step();
-  step();
-  EXPECT_TRUE(bliss.blacklisted(1));  // Streak limit reached.
-  step();
-  step();
-  EXPECT_TRUE(bliss.blacklisted(0));  // The former victim hogged in turn.
-  step();  // 5th pick crosses the clearing interval: everyone forgiven.
-  EXPECT_FALSE(bliss.blacklisted(0));
-  EXPECT_FALSE(bliss.blacklisted(1));
-}
-
-// --------------------------------------------------------------------------
-// BLISS single-source mode: the row-streak bound is row-key-agnostic. A
-// row whose packed key is the all-ones pattern (the old implementation's
-// "no previous pick" sentinel) must behave exactly like any other row —
-// regression test for the sentinel aliasing fix.
-// --------------------------------------------------------------------------
-
-std::vector<std::uint64_t> bliss_single_source_pick_sequence(
-    std::uint32_t bank, std::uint32_t row, std::uint32_t channel,
-    std::uint32_t rank) {
-  RequestTable t(16);
-  TableEntry miss = entry(0, bank + 1, 5);  // Closed bank: always a miss.
-  t.insert(miss);
-  for (int i = 0; i < 10; ++i) {
-    TableEntry hit = entry(0, bank, row);
-    hit.dram_addr.channel = channel;
-    hit.dram_addr.rank = rank;
-    t.insert(hit);
-  }
-  AddrBanks banks(
-      [bank, row](const dram::DramAddress& a) -> std::optional<std::uint32_t> {
-        if (a.bank == bank) return row;
-        return std::nullopt;
-      });
-  BlacklistScheduler bliss(2);
-  std::size_t scanned = 0;
-  std::vector<std::uint64_t> seqs;
-  for (int i = 0; i < 8; ++i) {
-    const auto pick = bliss.pick({t, banks}, scanned).value();
-    seqs.push_back(t.at(pick).arrival_seq);
-    t.remove(pick);
-  }
-  return seqs;
-}
-
-TEST(QosSchedulerTest, BlissStreakBoundIsRowKeyAgnostic) {
-  // dram::row_key packs channel(10b) | rank(6b) | bank(16b) | row(32b);
-  // these coordinates produce the all-ones key, the legacy sentinel value.
-  const auto sentinel_key = bliss_single_source_pick_sequence(
-      0xFFFFu, 0xFFFFFFFFu, 0x3FFu, 0x3Fu);
-  const auto normal_key = bliss_single_source_pick_sequence(1, 20, 0, 0);
-  EXPECT_EQ(sentinel_key, normal_key);
+  EXPECT_EQ(st.attained_service(0), 0u);  // Grown past, never served.
+  EXPECT_EQ(st.attained_service(7), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -230,36 +99,43 @@ TEST(QosSchedulerTest, AtlasRankInvertsAfterServiceImbalance) {
 }
 
 // --------------------------------------------------------------------------
-// TCM: bandwidth-heavy streams are declassified at the window boundary.
+// The numbers that keep ATLAS and bankpart: each beats its baseline on its
+// own scenario (default options, repetition 0).
 // --------------------------------------------------------------------------
 
-TEST(QosSchedulerTest, TcmDeprioritizesBandwidthClusterAfterWindow) {
-  smc::TcmScheduler tcm(/*window_size=*/8);
-  std::size_t scanned = 0;
+cli::Json scenario_results(const char* name) {
+  const cli::Scenario* s = cli::ScenarioRegistry::instance().find(name);
+  EXPECT_NE(s, nullptr) << name;
+  if (s == nullptr) return cli::Json::object();
+  cli::RunOptions opts;
+  opts.verbose = false;
+  return cli::run_scenario(*s, opts).at("results");
+}
 
-  // Window 1: stream 1 takes 7 of 8 picks, stream 0 one — above vs below
-  // the fair share of 4.
-  AddrBanks banks = open_row_banks(1, 20);
-  for (int i = 0; i < 7; ++i) {
-    RequestTable t(4);
-    t.insert(entry(1, 1, 20));
-    EXPECT_TRUE(tcm.pick({t, banks}, scanned).has_value());
-  }
-  {
-    RequestTable t(4);
-    t.insert(entry(0, 0, 7));
-    EXPECT_TRUE(tcm.pick({t, banks}, scanned).has_value());
-  }
+double chase_p95(const cli::Json& row) {
+  const cli::Json& chase = row.at("streams").at(0);
+  EXPECT_EQ(chase.at("kind").as_string(), "chase");
+  return chase.at("p95_cycles").as_double();
+}
 
-  // Window 2 (rolled on the next pick): stream 1 is bandwidth-classified,
-  // so stream 0's younger row miss outranks its older row hit.
-  RequestTable t(8);
-  t.insert(entry(1, 1, 20));
-  t.insert(entry(0, 0, 7));
-  const auto pick = tcm.pick({t, banks}, scanned).value();
-  EXPECT_EQ(t.at(pick).request.stream_id, 0u);
-  EXPECT_TRUE(tcm.bandwidth_cluster(1));
-  EXPECT_FALSE(tcm.bandwidth_cluster(0));
+TEST(QosClaimsTest, AtlasBeatsFrfcfsOnMixedTenants) {
+  const cli::Json mixed = scenario_results("qos_mixed_tenants");
+  const cli::Json& frfcfs = mixed.at("policies").at(0);
+  const cli::Json& atlas = mixed.at("policies").at(1);
+  ASSERT_EQ(frfcfs.at("sched").as_string(), "frfcfs");
+  ASSERT_EQ(atlas.at("sched").as_string(), "atlas");
+  EXPECT_LT(atlas.at("unfairness_max_over_min").as_double(),
+            frfcfs.at("unfairness_max_over_min").as_double());
+  EXPECT_LT(chase_p95(atlas), chase_p95(frfcfs));
+}
+
+TEST(QosClaimsTest, BankPartitionBeatsLineInterleaving) {
+  const cli::Json part = scenario_results("qos_bank_partition");
+  const cli::Json& line = part.at("points").at(0);
+  const cli::Json& bankpart = part.at("points").at(1);
+  ASSERT_EQ(line.at("mapping").as_string(), "line");
+  ASSERT_EQ(bankpart.at("mapping").as_string(), "bankpart");
+  EXPECT_LT(chase_p95(bankpart), chase_p95(line));
 }
 
 // --------------------------------------------------------------------------
@@ -269,18 +145,14 @@ TEST(QosSchedulerTest, TcmDeprioritizesBandwidthClusterAfterWindow) {
 TEST(SchedulerRegistryTest, TokensRoundTripAndFactoriesMatch) {
   using smc::SchedulerKind;
   for (const SchedulerKind kind :
-       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kParbs,
-        SchedulerKind::kBliss, SchedulerKind::kAtlas, SchedulerKind::kTcm}) {
+       {SchedulerKind::kFcfs, SchedulerKind::kFrfcfs, SchedulerKind::kAtlas}) {
     EXPECT_EQ(smc::parse_scheduler(smc::to_string(kind)), kind);
   }
   EXPECT_FALSE(smc::parse_scheduler("nope").has_value());
   EXPECT_FALSE(smc::parse_scheduler("auto").has_value());
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kFrfcfs)->name(), "FR-FCFS");
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kBliss)->name(), "BLISS");
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kTcm)->name(), "TCM");
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kAtlas)->name(), "ATLAS");
-  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kParbs)->name(), "PAR-BS");
   EXPECT_EQ(smc::make_scheduler(SchedulerKind::kFcfs)->name(), "FCFS");
+  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kFrfcfs)->name(), "FR-FCFS");
+  EXPECT_EQ(smc::make_scheduler(SchedulerKind::kAtlas)->name(), "ATLAS");
 }
 
 // --------------------------------------------------------------------------

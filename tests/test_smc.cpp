@@ -180,76 +180,18 @@ TEST(SchedulerTest, FrfcfsFallsBackToOldest) {
   EXPECT_EQ(frfcfs.pick({t, banks}, scanned).value(), 0u);
 }
 
-TEST(SchedulerTest, BatchSchedulerBoundsQueueingDelay) {
-  // One old row-miss request plus a stream of younger row hits: FR-FCFS
-  // starves the old request for the whole table; PAR-BS serves it once the
-  // current batch (which it belongs to) is scheduled.
-  RequestTable t(16);
-  t.insert(entry_at(0, 99));                       // Old row miss (seq 0).
-  for (int i = 0; i < 10; ++i) t.insert(entry_at(1, 20));  // Row hits.
-  LambdaBanks banks([](std::uint32_t bank) -> std::optional<std::uint32_t> {
-    if (bank == 1) return 20;
-    return std::nullopt;
-  });
-  std::size_t scanned = 0;
-
-  FrfcfsScheduler frfcfs;
-  EXPECT_NE(frfcfs.pick({t, banks}, scanned).value(), 0u);  // Hit first.
-
-  BatchScheduler parbs(4);  // Batch = requests with seq < 4.
-  // Within the first batch, row hits (seq 1..3) still win...
-  const auto first = parbs.pick({t, banks}, scanned).value();
-  EXPECT_NE(first, 0u);
-  EXPECT_LT(t.at(first).arrival_seq, 4u);
-  // ...but the old request is served before any seq >= 4 request: drain the
-  // batch and verify membership.
-  RequestTable t2(16);
-  t2.insert(entry_at(0, 99));                      // seq 0
-  for (int i = 0; i < 10; ++i) t2.insert(entry_at(1, 20));
-  BatchScheduler parbs2(2);
-  std::vector<std::uint64_t> served;
-  for (int i = 0; i < 3; ++i) {
-    const auto pick = parbs2.pick({t2, banks}, scanned).value();
-    served.push_back(t2.at(pick).arrival_seq);
-    t2.remove(pick);
-  }
-  // The first two picks come from batch {seq 0, seq 1}.
-  EXPECT_LT(served[0], 2u);
-  EXPECT_LT(served[1], 2u);
-}
-
-TEST(SchedulerTest, BlacklistSchedulerBreaksRowHitStreaks) {
-  RequestTable t(16);
-  t.insert(entry_at(0, 99));                       // Old row miss.
-  for (int i = 0; i < 10; ++i) t.insert(entry_at(1, 20));  // Hit stream.
-  LambdaBanks banks([](std::uint32_t bank) -> std::optional<std::uint32_t> {
-    if (bank == 1) return 20;
-    return std::nullopt;
-  });
-  std::size_t scanned = 0;
-  BlacklistScheduler bliss(3);
-  int picks_before_miss = 0;
-  for (int i = 0; i < 10; ++i) {
-    const auto pick = bliss.pick({t, banks}, scanned).value();
-    if (t.at(pick).dram_addr.bank == 0) break;  // The old miss got served.
-    t.remove(pick);
-    ++picks_before_miss;
-  }
-  EXPECT_LE(picks_before_miss, 3);  // Streak limit enforced.
-}
-
 TEST(SchedulerTest, EmptyTableYieldsNothing) {
   RequestTable t(4);
   LambdaBanks banks([](std::uint32_t) { return std::optional<std::uint32_t>{}; });
-  FrfcfsScheduler frfcfs;
   FcfsScheduler fcfs;
-  BatchScheduler parbs;
-  BlacklistScheduler bliss;
+  FrfcfsScheduler frfcfs;
+  AtlasScheduler atlas;
+  StreamTable streams;
   std::size_t scanned = 0;
-  EXPECT_FALSE(frfcfs.pick({t, banks}, scanned).has_value());
   EXPECT_FALSE(fcfs.pick({t, banks}, scanned).has_value());
-  EXPECT_FALSE(parbs.pick({t, banks}, scanned).has_value());
-  EXPECT_FALSE(bliss.pick({t, banks}, scanned).has_value());
+  EXPECT_FALSE(frfcfs.pick({t, banks}, scanned).has_value());
+  EXPECT_FALSE(atlas.pick({t, banks}, scanned).has_value());
+  EXPECT_FALSE(atlas.pick({t, banks, &streams}, scanned).has_value());
 }
 
 // --------------------------------------------------------------------------
